@@ -4,7 +4,7 @@ direct method-of-lines solver used as an independent oracle."""
 
 __version__ = "0.1.0"
 
-from .branches import CutSide, background_matrix, f, h, lam, w
+from .branches import CutSide, background_matrix, f, h, w
 from .errors import (
     BlowupDetected,
     BranchDomainError,

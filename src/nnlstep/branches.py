@@ -107,14 +107,6 @@ def h(k: complex, A: float) -> complex:
     return complex(k * np.sqrt(1.0 + (A * A) / (k * k)))
 
 
-def lam(j: int, k: complex, A: float) -> complex:
-    """Exponent rates lambda_j = i(f + (-1)^(j+1) h), j = 1, 2."""
-    if j not in (1, 2):
-        raise ValueError(f"j must be 1 or 2, got {j}")
-    sign = 1.0 if j == 1 else -1.0
-    return 1j * (f(k, A) + sign * h(k, A))
-
-
 def background_matrix(j: int, k: complex, A: float, side: CutSide = CutSide.OFF) -> np.ndarray:
     """Background eigenvector matrix E_j(k) built from w(k); det E_j = 1."""
     if j not in (1, 2):

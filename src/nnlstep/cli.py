@@ -135,6 +135,8 @@ def _load_initial_csv(path: str, A: float) -> InitialData:
             ims.append(float(row[2]))
     if len(xs) < 2:
         raise CliError("io", f"{path} contains fewer than 2 samples", _EXIT_IO)
+    if not np.all(np.isfinite([xs, res, ims])):
+        raise CliError("io", f"{path} contains a non-finite value", _EXIT_IO)
     xs_a = np.asarray(xs)
     order = np.argsort(xs_a)
     xs_a, res_a, ims_a = xs_a[order], np.asarray(res)[order], np.asarray(ims)[order]
@@ -157,16 +159,27 @@ def _is_number(s: str) -> bool:
         return False
 
 
+def _spectral_data(q0, A: float, ks=None):
+    """Scattering data of a pure step, a one-soliton or a sampled datum;
+    ``ks`` are the Jost sample points of a sampled datum."""
+    if isinstance(q0, StepProfile):
+        return step_spectral(q0)
+    if isinstance(q0, SolitonSpec):
+        return soliton_spectral(A, q0.phi0)
+    if ks is None:
+        ks = np.linspace(1.1 * A, 10 * A, 20)
+    return jost_spectral(q0, A, list(ks))
+
+
 def _spectral_source(args):
     """Build SpectralData from the source flags shared by subcommands."""
-    A = args.A
     if args.soliton:
-        return soliton_spectral(A, args.phi0)
-    if args.input_csv is not None:
-        data = _load_initial_csv(args.input_csv, A)
-        ks = _parse_grid(args.k_grid) if args.k_grid else np.linspace(1.1 * A, 10 * A, 20)
-        return jost_spectral(data, A, list(ks))
-    return step_spectral(StepProfile(A=A, R=args.step_R))
+        return soliton_spectral(args.A, args.phi0)
+    if args.input_csv is None:
+        return step_spectral(StepProfile(A=args.A, R=args.step_R))
+    data = _load_initial_csv(args.input_csv, args.A)
+    k_grid = getattr(args, "k_grid", None)  # only `spectral` has --k-grid
+    return _spectral_data(data, args.A, _parse_grid(k_grid) if k_grid else None)
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -231,10 +244,43 @@ def cmd_spectral(args) -> int:
     return _EXIT_OK
 
 
+_MODULATED = (RegionTag.MODULATED_PLUS, RegionTag.MODULATED_MINUS)
+_CENTRAL = (RegionTag.CENTRAL_PLUS, RegionTag.CENTRAL_MINUS)
+
+
+def _ray_profile(sd, tol: float, family: str | None = None):
+    """Leading-order profile along rays xi = x/(4t): (xi, t) -> (q, params).
+
+    Each ray is classified; a region boundary, or a region outside
+    ``family`` ("modulated" or "central") when one is given, raises
+    RegionMismatch.  Parameters are cached per modulated ray and per
+    central side.
+    """
+    allowed = {"modulated": _MODULATED, "central": _CENTRAL}.get(family, _MODULATED + _CENTRAL)
+    cache = {}
+
+    def profile(xi: float, t: float):
+        region = classify(Direction(xi, sd.A))
+        if region is RegionTag.BOUNDARY:
+            raise RegionMismatch(
+                f"xi={xi} lies exactly on a region boundary (|xi| in {{0, A/2}}); "
+                "no asymptotic formula applies there"
+            )
+        if region not in allowed:
+            raise RegionMismatch(f"xi={xi} lies in {region.value}, outside the {family} sectors")
+        modulated = region in _MODULATED
+        key = round(xi, 12) if modulated else region
+        if key not in cache:
+            cache[key] = (modulated_params if modulated else central_params)(sd, xi, tol=tol)
+        evaluate = q_modulated if modulated else q_central
+        return evaluate(sd, xi, t, tol=tol, params=cache[key]), cache[key]
+
+    return profile
+
+
 def cmd_asym(args) -> int:
     out = _out_dir(args)
     sd = _spectral_source(args)
-    A = sd.A
     ts = _parse_floats(args.t)
     rows = []
     if args.x is not None:
@@ -245,24 +291,12 @@ def cmd_asym(args) -> int:
                 rows.append([x, t, q.real, q.imag, abs(q),
                              RegionTag.TRANSITION_AXIS.value, "inf"])
     elif args.xi is not None:
+        ray = _ray_profile(sd, args.tol)
         for xi in _parse_floats(args.xi):
-            region = classify(Direction(xi, A))
-            if region is RegionTag.BOUNDARY:
-                raise RegionMismatch(
-                    f"xi={xi} lies exactly on a region boundary (|xi| in {{0, A/2}}); "
-                    "no asymptotic formula applies there"
-                )
-            if region in (RegionTag.MODULATED_PLUS, RegionTag.MODULATED_MINUS):
-                params = modulated_params(sd, xi, tol=args.tol)
-                evaluate = q_modulated
-            else:
-                params = central_params(sd, xi, tol=args.tol)
-                evaluate = q_central
             for t in ts:
-                x = 4.0 * xi * t
-                q = evaluate(sd, xi, t, tol=args.tol, params=params)
-                rows.append([x, t, q.real, q.imag, abs(q), region.value,
-                             _fmt(params.error_exponent) if np.isfinite(params.error_exponent) else "inf"])
+                q, p = ray(xi, t)
+                rows.append([4.0 * xi * t, t, q.real, q.imag, abs(q), p.region.value,
+                             _fmt(p.error_exponent) if np.isfinite(p.error_exponent) else "inf"])
     else:
         raise CliError("config", "asym requires --xi or --x", _EXIT_IO)
     _write_csv(
@@ -339,37 +373,13 @@ def cmd_compare(args) -> int:
     if args.predictor == "soliton":
         phi0 = q0.phi0 if isinstance(q0, SolitonSpec) else 0.0
         predictor = lambda x, t: q_soliton(A, phi0, x, t)
+    elif args.predictor == "transition":
+        sd = _spectral_data(q0, A)
+        params = transition_params(sd, tol=args.tol)
+        predictor = lambda x, t: q_transition(sd, x, t, tol=args.tol, params=params)
     else:
-        if isinstance(q0, StepProfile):
-            sd = step_spectral(q0)
-        elif isinstance(q0, SolitonSpec):
-            sd = soliton_spectral(A, q0.phi0)
-        else:
-            sd = jost_spectral(q0, A, list(np.linspace(1.1 * A, 10 * A, 20)))
-        if args.predictor == "transition":
-            params = transition_params(sd, tol=args.tol)
-            predictor = lambda x, t: q_transition(sd, x, t, tol=args.tol, params=params)
-        elif args.predictor == "central":
-            cache = {}
-
-            def predictor(x, t):
-                xi = x / (4.0 * t)
-                if "p" not in cache:
-                    cache["p"] = central_params(sd, xi, tol=args.tol)
-                return q_central(sd, xi, t, tol=args.tol, params=cache["p"])
-
-        elif args.predictor == "modulated":
-            cache = {}
-
-            def predictor(x, t):
-                xi = x / (4.0 * t)
-                key = round(xi, 12)
-                if key not in cache:
-                    cache[key] = modulated_params(sd, xi, tol=args.tol)
-                return q_modulated(sd, xi, t, tol=args.tol, params=cache[key])
-
-        else:
-            raise CliError("config", f"unknown predictor {args.predictor!r}", _EXIT_IO)
+        ray = _ray_profile(_spectral_data(q0, A), args.tol, args.predictor)
+        predictor = lambda x, t: ray(x / (4.0 * t), t)[0]
 
     snapshots = evolve(init_field(q0, grid), sim, A)
     table = compare(snapshots, predictor, (lo, hi))
@@ -459,8 +469,6 @@ def main(argv=None) -> int:
                 extra = {"t": exc.t} if isinstance(exc, BlowupDetected) else None
                 _emit_error(kind, str(exc), extra)
                 return code
-        _emit_error("error", str(exc))
-        return _EXIT_REGION
     except ValueError as exc:
         _emit_error("precondition", str(exc))
         return _EXIT_REGION

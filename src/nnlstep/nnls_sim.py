@@ -164,7 +164,8 @@ def step(fld: Field, cfg: SimConfig, A: float) -> Field:
     new[0] = -bc
     new[-1] = bc
     peak = float(np.max(np.abs(new)))
-    if peak > _BLOWUP_FACTOR * A:
+    # Written as "not <=" so that a NaN or inf field counts as a blow-up.
+    if not peak <= _BLOWUP_FACTOR * A:
         raise BlowupDetected(
             f"field reached {peak:.3g} (> {_BLOWUP_FACTOR}A) at t={t_new:.6g}",
             t=t_new,

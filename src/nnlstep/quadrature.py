@@ -1,11 +1,10 @@
 """Singular-integral primitives for the Riemann-Hilbert machinery.
 
-Three building blocks are provided:
+Two building blocks are provided:
 
-* semi-infinite Cauchy-type integrals  int_{-inf}^{upper} g(z)/(z-pole) dz
-  with decaying integrands (plus a principal-value variant for poles on
-  the contour interior),
-* integrals against the Chebyshev weight (A^2 - z^2)^(-1/2) on (-A, A),
+* semi-infinite integrals int_{-inf}^{upper} g(z) dz and their Cauchy-type
+  variant int_{-inf}^{upper} g(z)/(z-pole) dz with decaying integrands
+  (plus a principal-value variant for poles on the contour interior),
 * continuously-unwound argument increments (winding) along a real ray.
 
 Endpoint singularities (log or algebraic-integrable) are handled by
@@ -15,8 +14,8 @@ which converges at machine precision for analytic integrands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .errors import InconclusiveWinding, PoleOnContour, ToleranceNotMet
 
 DEFAULT_TOL = 1e-8
 _POLE_GUARD = 1e-8
+_MAX_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,11 @@ class IntegrandSpec:
 
     ``eval`` must accept a real numpy array and return a complex array.
     ``decay_estimate`` is the scale beyond which the tail is negligible
-    (exponential or algebraic). ``singular_points`` lists declared
-    integrable singularities as (location, kind) pairs, kind in
-    {"log", "inverse_sqrt"}.
+    (exponential or algebraic).
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     decay_estimate: float = 1.0
-    singular_points: Sequence[tuple[float, str]] = field(default_factory=tuple)
 
 
 def tanh_sinh(fn, a: float, b: float, tol: float = DEFAULT_TOL, max_level: int = 14):
@@ -92,46 +89,32 @@ def tanh_sinh(fn, a: float, b: float, tol: float = DEFAULT_TOL, max_level: int =
     )
 
 
-def _ray_cells(upper: float, first_width: float = 1.0, max_cells: int = 64):
-    """Geometric cell decomposition of (-inf, upper], widest cells last."""
-    right = upper
-    width = first_width
-    for _ in range(max_cells):
-        yield right - width, right
-        right -= width
-        width *= 2.0
-
-
-def _pole_distance_to_ray(pole: complex, upper: float) -> float:
-    pole = complex(pole)
-    if pole.real <= upper:
-        return abs(pole.imag)
-    return abs(pole - upper)
-
-
-def cauchy_semiinfinite(
-    g: IntegrandSpec, upper: float, pole: complex, tol: float = DEFAULT_TOL
+def _ray_cells(
+    g: IntegrandSpec, upper: float, tol: float, pole: complex | None = None
 ) -> complex:
-    """int_{-inf}^{upper} g(z)/(z - pole) dz for a pole off the contour.
+    """int_{-inf}^{upper} g(z) dz, or of g(z)/(z - pole) when a pole is given.
 
-    The tail is truncated once cell contributions fall below tol/10 and
-    the cells extend past the declared decay scale.
+    Walks geometric cells of (-inf, upper], widest cells last, and stops
+    once a cell contributes below tol/10 beyond ten decay scales.
     """
-    pole = complex(pole)
-    if _pole_distance_to_ray(pole, upper) < _POLE_GUARD:
-        raise PoleOnContour(f"pole {pole} within guard distance of (-inf, {upper}]")
+    if pole is None:
+        integrand = g.eval
+    else:
 
-    def integrand(z):
-        return np.asarray(g.eval(z), dtype=complex) / (z - pole)
+        def integrand(z):
+            return np.asarray(g.eval(z), dtype=complex) / (z - pole)
 
     total = 0.0 + 0.0j
     err = 0.0
     decay = max(g.decay_estimate, 1e-12)
-    for left, right in _ray_cells(upper):
+    right = upper
+    width = 1.0
+    for _ in range(_MAX_CELLS):
+        left = right - width
         pieces = [(left, right)]
         # Split at the pole's real part so tanh-sinh clusters nodes where
         # the kernel nearly blows up.
-        if left < pole.real < right and abs(pole.imag) < (right - left):
+        if pole is not None and left < pole.real < right and abs(pole.imag) < (right - left):
             pieces = [(left, pole.real), (pole.real, right)]
         cell = 0.0 + 0.0j
         for lo, hi in pieces:
@@ -139,31 +122,29 @@ def cauchy_semiinfinite(
             cell += v
             err += e
         total += cell
-        deep_enough = (upper - left) > 10.0 * decay
-        if deep_enough and abs(cell) < tol / 10.0:
+        if (upper - left) > 10.0 * decay and abs(cell) < tol / 10.0:
             return total
+        right = left
+        width *= 2.0
     raise ToleranceNotMet(
-        f"semi-infinite Cauchy integral did not converge (tol={tol})",
-        best=total,
-        error=err,
+        f"semi-infinite integral did not converge (tol={tol})", best=total, error=err
     )
+
+
+def cauchy_semiinfinite(
+    g: IntegrandSpec, upper: float, pole: complex, tol: float = DEFAULT_TOL
+) -> complex:
+    """int_{-inf}^{upper} g(z)/(z - pole) dz for a pole off the contour."""
+    pole = complex(pole)
+    if (abs(pole.imag) if pole.real <= upper else abs(pole - upper)) < _POLE_GUARD:
+        raise PoleOnContour(f"pole {pole} within guard distance of (-inf, {upper}]")
+    return _ray_cells(g, upper, tol, pole)
 
 
 def semiinfinite_integral(g: IntegrandSpec, upper: float, tol: float = DEFAULT_TOL) -> complex:
     """Plain int_{-inf}^{upper} g(z) dz for a decaying integrand; integrable
     singularities at the upper endpoint are allowed (tanh-sinh cells)."""
-    total = 0.0 + 0.0j
-    err = 0.0
-    decay = max(g.decay_estimate, 1e-12)
-    for left, right in _ray_cells(upper):
-        v, e = tanh_sinh(g.eval, left, right, tol=tol / 10.0)
-        total += v
-        err += e
-        if (upper - left) > 10.0 * decay and abs(v) < tol / 10.0:
-            return total
-    raise ToleranceNotMet(
-        f"semi-infinite integral did not converge (tol={tol})", best=total, error=err
-    )
+    return _ray_cells(g, upper, tol)
 
 
 def cauchy_semiinfinite_pv(
@@ -192,40 +173,8 @@ def cauchy_semiinfinite_pv(
 
     v3, _ = tanh_sinh(plain, x0 + c, upper, tol=tol / 4.0)
 
-    tail_spec = IntegrandSpec(g.eval, g.decay_estimate, g.singular_points)
-    v4 = cauchy_semiinfinite(tail_spec, x0 - c, x0, tol=tol / 4.0)
+    v4 = cauchy_semiinfinite(g, x0 - c, x0, tol=tol / 4.0)
     return v1 + v2 + v3 + v4
-
-
-def chebyshev_cut_integral(phi: IntegrandSpec, A: float, tol: float = DEFAULT_TOL) -> complex:
-    """int_{-A}^{A} phi(z) / sqrt(A^2 - z^2) dz.
-
-    After z = A cos(t) this is int_0^pi phi(A cos t) dt. Smooth integrands
-    use Gauss-Chebyshev nodes (midpoint rule in t) with doubling; declared
-    endpoint singularities switch to tanh-sinh on the two half cells.
-    """
-    A = float(A)
-
-    def in_t(t):
-        return np.asarray(phi.eval(A * np.cos(t)), dtype=complex)
-
-    if phi.singular_points:
-        v1, e1 = tanh_sinh(in_t, 0.0, 0.5 * np.pi, tol=tol / 2.0)
-        v2, e2 = tanh_sinh(in_t, 0.5 * np.pi, np.pi, tol=tol / 2.0)
-        return v1 + v2
-
-    n = 8
-    prev = None
-    while n <= 1 << 22:
-        t = (np.arange(n) + 0.5) * (np.pi / n)
-        val = np.sum(in_t(t)) * (np.pi / n)
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-        n *= 2
-    raise ToleranceNotMet(
-        f"Gauss-Chebyshev doubling stalled (tol={tol})", best=prev, error=None
-    )
 
 
 def _arg_increment(path, lo, hi, v_lo, v_hi, depth=0, max_depth=40):

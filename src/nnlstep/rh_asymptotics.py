@@ -163,11 +163,7 @@ def delta_data(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> DeltaDa
             f"winding Delta(k1)={Delta_k1:.4f} outside (-pi, pi) at k1={k1}"
         )
 
-    spec = IntegrandSpec(
-        eval=log_fn,
-        decay_estimate=decay,
-        singular_points=((k1, "log"),) if zero_at_minus_A else (),
-    )
+    spec = IntegrandSpec(eval=log_fn, decay_estimate=decay)
 
     def log_delta_at(k: complex) -> complex:
         return cauchy_semiinfinite(spec, k1, complex(k), tol=tol) / (2j * np.pi)
@@ -233,13 +229,8 @@ def F_infinity(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> complex
         s = np.asarray(s, dtype=float)
         return arg_at(s) / np.sqrt(s * s - A * A)
 
-    sing = ((k1, "inverse_sqrt"),) if abs(k1 + A) <= 1e-12 * A else ()
-    re_val = semiinfinite_integral(
-        IntegrandSpec(re_integrand, max(1.0, 2.0 * A), sing), k1, tol=tol
-    )
-    im_val = semiinfinite_integral(
-        IntegrandSpec(im_integrand, max(1.0, 2.0 * A), sing), k1, tol=tol
-    )
+    re_val = semiinfinite_integral(IntegrandSpec(re_integrand, max(1.0, 2.0 * A)), k1, tol=tol)
+    im_val = semiinfinite_integral(IntegrandSpec(im_integrand, max(1.0, 2.0 * A)), k1, tol=tol)
     return complex(re_val.real / (2 * np.pi), im_val.real / (2 * np.pi))
 
 
@@ -274,7 +265,7 @@ def F_at(
         fs = -np.sqrt(s * s - A * A)
         return dd.log_g_at(s) * (fs - fk) / fs
 
-    spec = IntegrandSpec(integrand, max(1.0, 2.0 * A), ((k1, "inverse_sqrt"),))
+    spec = IntegrandSpec(integrand, max(1.0, 2.0 * A))
     val = cauchy_semiinfinite(spec, k1, complex(k), tol=tol) / (2j * np.pi)
     return cmath.exp(val)
 

@@ -107,6 +107,16 @@ class SpectralData:
 # ---------------------------------------------------------------------------
 
 
+def _step_pm(k, fk, hk, A: float, R: float, exp):
+    """Pure-step numerators (p, m) over 2 f h: (a1, a2) for R > 0, (a2, a1)
+    for R < 0.  exp is cmath.exp for scalars and np.exp for arrays."""
+    l1 = 1j * (fk + hk)
+    l2 = 1j * (fk - hk)
+    p = exp(2 * l1 * R) * (A * A + 1j * k * l2) - exp(2 * l2 * R) * (A * A + 1j * k * l1)
+    m = exp(-2 * l2 * R) * (A * A - 1j * k * l1) - exp(-2 * l1 * R) * (A * A - 1j * k * l2)
+    return p, m
+
+
 def _step_abc(k: complex, A: float, R: float, side: CutSide):
     """Closed-form (a1, a2, b) of the pure step, any sign of R."""
     fk = f(k, A, side)
@@ -119,14 +129,7 @@ def _step_abc(k: complex, A: float, R: float, side: CutSide):
         hk = cmath.sqrt(k * k + A * A)
     else:
         hk = h(k, A)
-    l1 = 1j * (fk + hk)
-    l2 = 1j * (fk - hk)
-    p = cmath.exp(2 * l1 * R) * (A * A + 1j * k * l2) - cmath.exp(2 * l2 * R) * (
-        A * A + 1j * k * l1
-    )
-    m = cmath.exp(-2 * l2 * R) * (A * A - 1j * k * l1) - cmath.exp(-2 * l1 * R) * (
-        A * A - 1j * k * l2
-    )
+    p, m = _step_pm(k, fk, hk, A, R, cmath.exp)
     b = (
         -1j
         * A
@@ -150,14 +153,7 @@ def _step_a1a2_vec(s: np.ndarray, A: float, R: float) -> np.ndarray:
         if R == 0.0:
             return s * s / (fs * fs)
         hs = np.sign(s.real) * np.sqrt(s.real * s.real + A * A)
-        l1 = 1j * (fs + hs)
-        l2 = 1j * (fs - hs)
-        p = np.exp(2 * l1 * R) * (A * A + 1j * s * l2) - np.exp(2 * l2 * R) * (
-            A * A + 1j * s * l1
-        )
-        m = np.exp(-2 * l2 * R) * (A * A - 1j * s * l1) - np.exp(-2 * l1 * R) * (
-            A * A - 1j * s * l2
-        )
+        p, m = _step_pm(s, fs, hs, A, R, np.exp)
         return p * m / (2.0 * fs * hs) ** 2
 
 

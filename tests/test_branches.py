@@ -12,7 +12,6 @@ from nnlstep import (
     background_matrix,
     f,
     h,
-    lam,
     w,
 )
 
@@ -106,17 +105,6 @@ class TestH:
 
 
 class TestLamAndBackground:
-    def test_lambda_product_and_sum(self):
-        k = 1.7 + 0.4j
-        l1, l2 = lam(1, k, 1.0), lam(2, k, 1.0)
-        assert l1 + l2 == pytest.approx(2j * f(k, 1.0))
-        # l1 l2 = -(f^2 - h^2) = 2 A^2
-        assert l1 * l2 == pytest.approx(2.0 + 0j)
-
-    def test_lambda_index_validation(self):
-        with pytest.raises(ValueError):
-            lam(3, 2.0, 1.0)
-
     @pytest.mark.parametrize("j", [1, 2])
     @pytest.mark.parametrize("k", [2.5, -1.4, 0.9 + 1.1j])
     def test_background_matrix_unimodular(self, j, k):

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from nnlstep import StepProfile, q_central, step_spectral
 from nnlstep.cli import main
 
 
@@ -86,6 +87,19 @@ class TestAsymCommand:
         rc = main(["asym", "--xi", "0.5", "--t", "10", "--out-dir", str(tmp_path / "b")])
         assert rc == 3
 
+    def test_central_sides_are_kept_apart(self, tmp_path):
+        out = tmp_path / "central"
+        rc = main(["asym", "--xi=-0.2,0.2,-0.3", "--t", "10,20", "--out-dir", str(out)])
+        assert rc == 0
+        header, rows = _read_csv(out / "asym.csv")
+        sd = step_spectral(StepProfile(A=1.0, R=0.0))
+        for r in rows:
+            x, t = float(r[0]), float(r[1])
+            xi = x / (4.0 * t)
+            assert r[header.index("region")] == ("CentralPlus" if xi > 0 else "CentralMinus")
+            q = complex(float(r[header.index("re_q")]), float(r[header.index("im_q")]))
+            assert abs(q - q_central(sd, xi, t)) < 1e-10
+
     def test_missing_ray_and_station(self, tmp_path):
         rc = main(["asym", "--t", "10", "--out-dir", str(tmp_path / "m")])
         assert rc == 2
@@ -121,6 +135,56 @@ class TestSimulateAndCompare:
         header, rows = _read_csv(out / "error_table.csv")
         assert len(rows) == 2
         assert all(float(r[header.index("sup_err")]) < 1e-2 for r in rows)
+
+    @pytest.fixture
+    def central_config(self, tmp_path):
+        cfg = {
+            "A": 1.0, "L": 10.0, "N": 200, "dt": 0.002, "t_end": 1.0,
+            "record_times": [0.5, 1.0],
+            "initial": {"kind": "soliton", "phi0": 0.0},
+        }
+        path = tmp_path / "central.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    @pytest.mark.parametrize("window", ["0.25:0.75", "-0.75:-0.25"])
+    def test_compare_central_inside_one_side(self, tmp_path, central_config, window):
+        out = tmp_path / "cmp"
+        rc = main(
+            ["compare", "--config", str(central_config), "--predictor", "central",
+             f"--window={window}", "--out-dir", str(out)]
+        )
+        assert rc == 0
+        header, rows = _read_csv(out / "error_table.csv")
+        assert len(rows) == 2
+        assert all(math.isfinite(float(r[header.index("sup_err")])) for r in rows)
+
+    @pytest.mark.parametrize(
+        "window",
+        ["-0.5:0.5", "0.25:2.5"],
+        ids=["straddles_x_0", "reaches_modulated"],
+    )
+    def test_compare_central_outside_sector_is_region_error(
+        self, tmp_path, central_config, window
+    ):
+        rc = main(
+            ["compare", "--config", str(central_config), "--predictor", "central",
+             f"--window={window}", "--out-dir", str(tmp_path / "o")]
+        )
+        assert rc == 3
+
+    @pytest.mark.parametrize("bad_row", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+    def test_non_finite_csv_is_io_error(self, tmp_path, bad_row):
+        initial = tmp_path / "bad.csv"
+        initial.write_text("x,re_q0,im_q0\n-4,-1,0\n" + bad_row + "\n4,1,0\n")
+        cfg = {
+            "A": 1.0, "L": 5.0, "N": 50, "dt": 0.002, "t_end": 0.01,
+            "initial": {"kind": "csv", "path": str(initial)},
+        }
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
 
     def test_missing_config_is_io_error(self, tmp_path):
         rc = main(

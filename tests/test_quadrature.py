@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nnlstep import PoleOnContour
+from nnlstep import PoleOnContour, ToleranceNotMet
 from nnlstep.quadrature import (
     IntegrandSpec,
     cauchy_semiinfinite,
     cauchy_semiinfinite_pv,
-    chebyshev_cut_integral,
     running_winding,
     semiinfinite_integral,
     tanh_sinh,
@@ -71,32 +70,23 @@ class TestSemiInfinite:
             cauchy_semiinfinite_pv(spec, 0.0, 0.0)
 
 
-class TestChebyshevCut:
-    def test_constant(self):
+class TestRayWalkerFailure:
+    """A constant integrand never meets the tail stop rule of the cell walk."""
+
+    @pytest.mark.parametrize(
+        "integrate",
+        [
+            lambda spec: semiinfinite_integral(spec, 0.0),
+            lambda spec: cauchy_semiinfinite(spec, 0.0, 1.0 + 1.0j),
+        ],
+        ids=["plain", "cauchy"],
+    )
+    def test_non_decaying_integrand_raises(self, integrate):
         spec = IntegrandSpec(lambda z: np.ones_like(z, dtype=complex))
-        assert abs(chebyshev_cut_integral(spec, 1.0) - np.pi) < 1e-10
-
-    def test_quadratic(self):
-        spec = IntegrandSpec(lambda z: np.asarray(z, dtype=complex) ** 2)
-        assert abs(chebyshev_cut_integral(spec, 1.0) - np.pi / 2) < 1e-10
-
-    def test_scaled_amplitude(self):
-        # int z^2 / sqrt(A^2 - z^2) = pi A^2 / 2
-        spec = IntegrandSpec(lambda z: np.asarray(z, dtype=complex) ** 2)
-        assert abs(chebyshev_cut_integral(spec, 2.0) - 2.0 * np.pi) < 1e-9
-
-    def test_declared_singularity_path(self):
-        # ln|z - A| is integrable against the Chebyshev weight:
-        # int_{-1}^{1} ln|z-1|/sqrt(1-z^2) dz = -pi ln 2.
-        spec = IntegrandSpec(
-            lambda z: np.log(np.abs(z - 1.0)).astype(complex),
-            singular_points=((1.0, "log"),),
-        )
-        # Accuracy is capped near 5e-7: z-values with |z - 1| < eps are not
-        # representable in double precision, so the innermost slice of the
-        # log singularity (mass ~ int_0^{1e-8} 2 ln t dt) is invisible to
-        # any quadrature that samples the integrand through z.
-        assert abs(chebyshev_cut_integral(spec, 1.0) + np.pi * math.log(2.0)) < 1e-6
+        with pytest.raises(ToleranceNotMet) as exc:
+            integrate(spec)
+        assert np.isfinite(exc.value.best)
+        assert np.isfinite(exc.value.error)
 
 
 class TestWinding:

@@ -123,6 +123,18 @@ class TestStepping:
             step(fld, SimConfig(dt=0.002, t_end=0.002), 1.0)
         assert exc.value.max_abs > 50.0
 
+    def test_non_finite_field_is_blowup(self):
+        # NaN compares False against any bound; the guard must still fire.
+        g = Grid(L=5.0, N=50)
+        data = InitialData(
+            sampler=lambda x: complex("nan") if abs(x) < 1e-9 else complex(np.tanh(x)),
+            decay_width=5.0,
+        )
+        cfg = SimConfig(dt=0.002, t_end=0.1, record_times=(0.1,))
+        with pytest.raises(BlowupDetected) as exc:
+            evolve(init_field(data, g), cfg, 1.0)
+        assert exc.value.t == pytest.approx(0.002)
+
 
 class TestEvolveAndCompare:
     def test_record_times(self):

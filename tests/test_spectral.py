@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnlstep import (
     BranchPointProximity,
@@ -20,7 +22,8 @@ from nnlstep import (
     soliton_spectral,
     step_spectral,
 )
-from nnlstep.spectral import _det2, _jost_at
+from nnlstep.rh_asymptotics import _one_plus_r1r2_vec
+from nnlstep.spectral import _det2, _jost_at, one_plus_r1r2
 
 
 def _det_relation_residual(sd, k):
@@ -88,6 +91,23 @@ class TestStepClosedForm:
         right = sd.a1(1e-7 + 0.4j, CutSide.OFF)
         assert abs(left - mid) < 1e-5
         assert abs(right - mid) < 1e-5
+
+
+class TestStepFormsAgree:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        A=st.floats(0.3, 3.0),
+        R=st.floats(-2.0, 2.0),
+        u=st.floats(-3.0, 1.3),
+    )
+    def test_vector_matches_scalar_on_ray(self, A, R, u):
+        # The vectorized 1 + r1 r2 = 1/(a1 a2) of the quadratures against
+        # the scalar closed form through b/a1 and conj(b(-s))/a2.
+        sd = step_spectral(StepProfile(A=A, R=R))
+        s = -A * (1.0 + 10.0**u)
+        vec = complex(_one_plus_r1r2_vec(sd)(np.array([s]))[0])
+        ref = one_plus_r1r2(sd, s)
+        assert abs(vec - ref) <= 1e-10 * abs(ref)
 
 
 class TestSolitonData:
