@@ -135,12 +135,11 @@ def delta_data(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> DeltaDa
     gvec = _one_plus_r1r2_vec(sd)
     decay = max(1.0, 2.0 * A)
 
-    at_minus_A = abs(k1 + A) <= 1e-12 * A
-    probe = complex(gvec(np.array([-A * (1.0 + 1e-8)]))[0])
-    ref = complex(gvec(np.array([-2.0 * A]))[0])
-    zero_at_minus_A = at_minus_A and abs(probe) < _ENDPOINT_ZERO_RTOL * max(
-        abs(ref), 1e-300
-    )
+    zero_at_minus_A = False
+    if abs(k1 + A) <= 1e-12 * A:
+        probe = complex(gvec(np.array([-A * (1.0 + 1e-8)]))[0])
+        ref = complex(gvec(np.array([-2.0 * A]))[0])
+        zero_at_minus_A = abs(probe) < _ENDPOINT_ZERO_RTOL * max(abs(ref), 1e-300)
 
     log_fn, arg_at, Delta_raw = _unwound_log(gvec, k1, decay)
 

@@ -186,6 +186,22 @@ class TestSimulateAndCompare:
         rc = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "times",
+        [{"t_end": -0.1}, {"t_end": float("nan")}, {"record_times": [0.05, 0.2]}],
+        ids=["negative_t_end", "nan_t_end", "record_past_t_end"],
+    )
+    def test_bad_times_are_config_errors(self, tmp_path, times):
+        cfg = {
+            "A": 1.0, "L": 10.0, "N": 200, "dt": 0.002, "t_end": 0.1,
+            "initial": {"kind": "soliton"},
+        }
+        cfg.update(times)
+        path = tmp_path / "times.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+
     def test_missing_config_is_io_error(self, tmp_path):
         rc = main(
             ["simulate", "--config", str(tmp_path / "nope.json"),

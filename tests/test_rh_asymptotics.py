@@ -48,6 +48,30 @@ class TestDelta:
         assert dd.zero_at_minus_A
         assert math.isnan(dd.nu.real)
 
+    def test_modulated_ray_never_samples_near_minus_A(self, step_sd, monkeypatch):
+        # The endpoint-zero probe belongs to k1 = -A alone; for Jost data a
+        # sample next to -A trips the branch-point guard on every ray.
+        import nnlstep.rh_asymptotics as rh
+
+        seen = []
+        vec = rh._one_plus_r1r2_vec
+
+        def recording(sd):
+            g = vec(sd)
+
+            def sampled(s):
+                seen.append(np.atleast_1d(np.asarray(s, dtype=float)).copy())
+                return g(s)
+
+            return sampled
+
+        monkeypatch.setattr(rh, "_one_plus_r1r2_vec", recording)
+        k1 = -0.5 * (2.0 + math.sqrt(6.0))  # the ray xi = 2, A = 1
+        delta_data(step_sd, k1)
+        points = np.concatenate(seen)
+        assert points.size > 0
+        assert np.min(np.abs(points + 1.0)) > 1e-6
+
     def test_delta_at_origin_golden(self, step_sd):
         # Analytic dilogarithm evaluation of the exponent integral gives
         # delta(0, -A) = exp(-i pi / 24) for the centered step.

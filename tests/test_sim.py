@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnlstep import (
     BlowupDetected,
@@ -45,6 +47,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=0.01, t_end=1.0).check_cfl(g)
         SimConfig(dt=0.002, t_end=1.0).check_cfl(g)  # boundary case passes
+
+    @pytest.mark.parametrize("t_end", [-0.1, float("nan"), float("inf")])
+    def test_bad_t_end_rejected(self, t_end):
+        with pytest.raises(ValueError):
+            SimConfig(dt=0.001, t_end=t_end)
+
+    @pytest.mark.parametrize("rt", [-0.01, 1.01, float("nan"), float("inf")])
+    def test_record_time_outside_run_rejected(self, rt):
+        with pytest.raises(ValueError):
+            SimConfig(dt=0.001, t_end=1.0, record_times=(0.5, rt))
 
     def test_unknown_bc_rejected(self):
         with pytest.raises(ValueError):
@@ -134,6 +146,76 @@ class TestStepping:
         with pytest.raises(BlowupDetected) as exc:
             evolve(init_field(data, g), cfg, 1.0)
         assert exc.value.t == pytest.approx(0.002)
+
+
+def _reference_rk4(q: np.ndarray, dx: float, dt: float, A: float, steps: int) -> np.ndarray:
+    """Textbook classic RK4 of the documented semi-discrete system, one new
+    array per operation: i q_xx + 2i q^2 conj(q(-x)) inside, the Dirichlet
+    orbit -2i A^2 q at the ends, boundary values reset after each step."""
+
+    def f(u):
+        out = np.empty_like(u)
+        reflected = np.conj(u[::-1])
+        out[1:-1] = 1j * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2 + 2j * u[1:-1] ** 2 * reflected[1:-1]
+        out[0] = -2j * A * A * u[0]
+        out[-1] = -2j * A * A * u[-1]
+        return out
+
+    t = 0.0
+    for _ in range(steps):
+        k1 = f(q)
+        k2 = f(q + 0.5 * dt * k1)
+        k3 = f(q + 0.5 * dt * k2)
+        k4 = f(q + dt * k3)
+        q = q + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+        bc = A * np.exp(-2j * A * A * t)
+        q[0], q[-1] = -bc, bc
+    return q
+
+
+class TestInPlaceStepper:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        half_n=st.integers(4, 200),
+        phi0=st.floats(-1.0, 1.0),
+        cfl=st.floats(0.01, 1.0),
+        steps=st.integers(1, 30),
+    )
+    def test_matches_reference_rk4(self, half_n, phi0, cfl, steps):
+        # dx = 0.25 keeps dt * |nonlinear rate| small at the largest dt.
+        A, g = 1.0, Grid(L=0.25 * half_n, N=2 * half_n)
+        dt = cfl * 0.2 * g.dx**2
+        q0 = A * np.tanh(A * g.x - 0.5j * phi0 - 0.25j * np.pi)
+        fld = Field(0.0, q0, g)
+        cfg = SimConfig(dt=dt, t_end=steps * dt, record_times=(steps * dt,))
+        last = evolve(fld, cfg, A)[-1]
+        want = _reference_rk4(q0.copy(), g.dx, dt, A, steps)
+        assert np.max(np.abs(last.values - want)) <= 1e-12 * np.max(np.abs(want))
+        stepped = fld
+        for _ in range(steps):
+            stepped = step(stepped, cfg, A)
+        assert stepped.t == last.t
+        assert np.array_equal(stepped.values, last.values)
+
+    def test_no_aliasing(self):
+        g = Grid(L=10.0, N=100)
+        fld = init_field(SolitonSpec(A=1.0, phi0=0.3), g)
+        before = fld.values.copy()
+        cfg = SimConfig(dt=0.005, t_end=0.1, record_times=(0.0, 0.05, 0.1))
+        snaps = evolve(fld, cfg, 1.0)
+        assert np.array_equal(fld.values, before)
+        arrays = [fld.values] + [s.values for s in snaps]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        kept = [s.values.copy() for s in snaps]
+        snaps[1].values[:] = 7.0
+        assert np.array_equal(snaps[0].values, kept[0])
+        assert np.array_equal(snaps[2].values, kept[2])
+        out = step(fld, cfg, 1.0)
+        assert not np.shares_memory(out.values, fld.values)
+        assert np.array_equal(fld.values, before)
 
 
 class TestEvolveAndCompare:
