@@ -340,9 +340,10 @@ def _load_sim_config(path: str):
             q0 = _load_initial_csv(initial["path"], A)
         else:
             raise CliError("config", f"unknown initial kind {kind!r}", _EXIT_IO)
+        field = init_field(q0, grid)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError("config", f"invalid simulation config: {exc}", _EXIT_IO)
-    return A, grid, sim, q0
+    return A, sim, q0, field
 
 
 def _snapshot_rows(snapshots):
@@ -353,8 +354,8 @@ def _snapshot_rows(snapshots):
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    A, grid, sim, q0 = _load_sim_config(args.config)
-    snapshots = evolve(init_field(q0, grid), sim, A)
+    A, sim, q0, field = _load_sim_config(args.config)
+    snapshots = evolve(field, sim, A)
     _write_csv(
         out / "snapshots.csv", ["t", "x", "re_q", "im_q", "abs_q"], _snapshot_rows(snapshots)
     )
@@ -364,7 +365,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     out = _out_dir(args)
-    A, grid, sim, q0 = _load_sim_config(args.config)
+    A, sim, q0, field = _load_sim_config(args.config)
     try:
         lo, hi = (float(s) for s in args.window.split(":"))
     except ValueError:
@@ -381,7 +382,7 @@ def cmd_compare(args) -> int:
         ray = _ray_profile(_spectral_data(q0, A), args.tol, args.predictor)
         predictor = lambda x, t: ray(x / (4.0 * t), t)[0]
 
-    snapshots = evolve(init_field(q0, grid), sim, A)
+    snapshots = evolve(field, sim, A)
     table = compare(snapshots, predictor, (lo, hi))
     rows = [
         [t, s, l2, table.fitted_exponent]

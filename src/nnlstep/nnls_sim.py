@@ -107,7 +107,7 @@ def init_field(q0, grid: Grid, mollify_width: float = 0.0) -> Field:
 
     Pure steps use the midpoint convention (value 0 at the jump); an
     optional tanh mollifier of the given width replaces the jump for
-    convergence studies.
+    convergence studies.  A NaN or infinite sample raises ValueError.
     """
     x = grid.x
     if isinstance(q0, StepProfile):
@@ -128,7 +128,13 @@ def init_field(q0, grid: Grid, mollify_width: float = 0.0) -> Field:
     else:
         raise TypeError(f"unsupported initial datum {type(q0).__name__}")
 
-    jump = float(np.max(np.abs(np.diff(vals)))) if len(vals) > 1 else 0.0
+    # A grid has at least 3 points, and the largest jump is NaN or inf
+    # exactly when some sample is (or when finite samples overflow).
+    jump = float(np.max(np.abs(np.diff(vals))))
+    if not math.isfinite(jump):
+        bad = np.flatnonzero(~np.isfinite(vals))
+        where = f" at x={x[bad[0]]:.6g} ({bad.size} samples)" if bad.size else ""
+        raise ValueError(f"initial datum is not finite{where}")
     if amp > 0 and jump > 0.5 * amp:
         warnings.warn(
             f"initial datum jumps by {jump:.3g} (> 0.5 amplitude) within one "

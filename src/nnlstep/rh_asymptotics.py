@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+import weakref
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -40,6 +40,7 @@ from .quadrature import (
     cauchy_semiinfinite_pv,
     running_winding,
     semiinfinite_integral,
+    tanh_sinh,
 )
 from .spectral import SpectralData, Source, _step_a1a2_vec
 
@@ -92,31 +93,37 @@ class DeltaData:
     delta_boundary: Callable[[float, CutSide], complex]
     log_g_at: Callable[[np.ndarray], np.ndarray]
     zero_at_minus_A: bool
+    # (grid, cumulative argument) of ln(1 + r1 r2) on (-inf, k1): the
+    # running_winding pass that log_g_at picks its branch from.
+    winding: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 def _unwound_log(gvec, k1: float, decay: float, samples: int = 600):
     """Continuous branch of ln g on (-inf, k1], unwound from g(-inf) ~ 1.
 
-    Returns (log_fn vectorized, Delta_fn cumulative-argument interpolant,
-    Delta(k1)).  The path stops a hair short of k1, where the value may
-    vanish (endpoint zero); the argument extends by continuity.
+    Returns (log_fn vectorized, grid, cum): one running_winding pass, whose
+    cumulative argument cum[-1] is Delta(k1).  The path stops a hair short
+    of k1, where the value may vanish (endpoint zero); the argument extends
+    by continuity.  log_fn takes the principal log and picks the branch
+    nearest the linear interpolant of (grid, cum), so its imaginary part
+    is the refined argument; the interpolant itself can miss it near a
+    zero of g (see the FOUND line on Im F_inf in CHANGES.md).
     """
     spec = IntegrandSpec(eval=gvec, decay_estimate=decay)
     k_end = k1 - 1e-9 * max(1.0, abs(k1))
     grid, cum = running_winding(spec, k_end, samples=samples)
 
-    def arg_at(s):
-        return np.interp(s, grid, cum, left=0.0, right=cum[-1])
-
     def log_fn(s):
         s = np.asarray(s, dtype=float)
         vals = gvec(s)
         principal = np.angle(vals)
-        target = arg_at(s)
+        target = np.interp(s, grid, cum, left=0.0, right=cum[-1])
         branch = np.round((target - principal) / (2 * np.pi))
         return np.log(np.abs(vals)) + 1j * (principal + 2 * np.pi * branch)
 
-    return log_fn, arg_at, float(cum[-1])
+    return log_fn, grid, cum
 
 
 def delta_data(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> DeltaData:
@@ -141,7 +148,7 @@ def delta_data(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> DeltaDa
         ref = complex(gvec(np.array([-2.0 * A]))[0])
         zero_at_minus_A = abs(probe) < _ENDPOINT_ZERO_RTOL * max(abs(ref), 1e-300)
 
-    log_fn, arg_at, Delta_raw = _unwound_log(gvec, k1, decay)
+    log_fn, grid, cum = _unwound_log(gvec, k1, decay)
 
     if zero_at_minus_A:
         # Regularized winding: (z + A)/z tends to 1 at -inf and cancels the
@@ -150,10 +157,11 @@ def delta_data(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> DeltaDa
             s = np.asarray(s, dtype=float)
             return ((s + A) / s) * gvec(s)
 
-        _, _, Delta_k1 = _unwound_log(reg_vec, k1, decay)
+        _, _, reg_cum = _unwound_log(reg_vec, k1, decay)
+        Delta_k1 = float(reg_cum[-1])
         nu = complex(float("nan"), float("nan"))
     else:
-        Delta_k1 = Delta_raw
+        Delta_k1 = float(cum[-1])
         g_k1 = complex(gvec(np.array([k1]))[0])
         nu = -math.log(abs(g_k1)) / (2 * np.pi) - 1j * Delta_k1 / (2 * np.pi)
 
@@ -191,12 +199,84 @@ def delta_data(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> DeltaDa
         delta_boundary=delta_boundary,
         log_g_at=log_fn,
         zero_at_minus_A=zero_at_minus_A,
+        winding=(grid, cum),
     )
 
 
 # ---------------------------------------------------------------------------
 # F(k, k1), F_inf(k1) and d(A)
 # ---------------------------------------------------------------------------
+
+
+class _RayTable:
+    """What the rays of one spectral data set share at one tolerance.
+
+    Holds F_inf by k1, d(A), and the tails
+    T_j = int_{-inf}^{c_j} ln|1+r1r2(s)| / sqrt(s^2-A^2) ds at the anchors
+    c_j = -2^j A (j >= 1).  It keeps no reference to the data, so the
+    weak-keyed _TABLES drops it together with the data.
+    """
+
+    def __init__(self):
+        self.F_inf: dict[float, complex] = {}
+        self.dA: complex | None = None
+        self.tails: dict[int, float] = {}
+
+
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _table(sd: SpectralData, tol: float) -> _RayTable:
+    return _TABLES.setdefault(sd, {}).setdefault(tol, _RayTable())
+
+
+def _winding_over_root(grid: np.ndarray, cum: np.ndarray, k1: float, A: float) -> float:
+    """int_{-inf}^{k1} arg(s) / sqrt(s^2-A^2) ds in closed form, for the
+    winding interpolant arg = np.interp(s, grid, cum, left=0, right=cum[-1]).
+
+    On each cell arg = a + b s, and for s < -A
+    int (a + b s) / sqrt(s^2-A^2) ds = -a ln(-s + sqrt(s^2-A^2)) + b sqrt(s^2-A^2).
+    """
+    root = np.sqrt(grid * grid - A * A)
+    log_prim = -np.log(root - grid)
+    slope = np.diff(cum) / np.diff(grid)
+    cells = (cum[:-1] - slope * grid[:-1]) * np.diff(log_prim) + slope * np.diff(root)
+    last = -math.log(math.sqrt(k1 * k1 - A * A) - k1) - log_prim[-1]
+    return float(np.sum(cells)) + float(cum[-1]) * last
+
+
+def _F_inf(sd: SpectralData, k1: float, tol: float, winding=None) -> complex:
+    """F_inf(k1) through the data's table; winding is the (grid, cum) of a
+    running_winding pass to k1 already made (delta_data's), if any."""
+    if sd.source is Source.REFLECTIONLESS_SOLITON:
+        return 0.0 + 0.0j
+    table = _table(sd, tol)
+    F = table.F_inf.get(k1)
+    if F is not None:
+        return F
+    A = sd.A
+    gvec = _one_plus_r1r2_vec(sd)
+
+    def log_abs_over_root(s):
+        s = np.asarray(s, dtype=float)
+        return np.log(np.abs(gvec(s))) / np.sqrt(s * s - A * A)
+
+    spec = IntegrandSpec(log_abs_over_root, max(1.0, 2.0 * A))
+    j = 1
+    while -(2.0**j) * A >= k1:
+        j += 1
+    anchor = -(2.0**j) * A
+    if j not in table.tails:
+        table.tails[j] = semiinfinite_integral(spec, anchor, tol=tol / 10.0).real
+    piece, _ = tanh_sinh(spec.eval, anchor, k1, tol=tol / 10.0)
+    if winding is None:
+        _, grid, cum = _unwound_log(gvec, k1, max(1.0, 2.0 * A))
+    else:
+        grid, cum = winding
+    re_val = table.tails[j] + piece.real
+    im_val = _winding_over_root(grid, cum, k1, A)
+    F = table.F_inf[k1] = complex(re_val / (2 * np.pi), im_val / (2 * np.pi))
+    return F
 
 
 def F_infinity(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> complex:
@@ -210,27 +290,19 @@ def F_infinity(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> complex
 
         Re F_inf = (1/2pi) int_{-inf}^{k1} ln|1+r1r2(s)| / sqrt(s^2-A^2) ds,
         Im F_inf = (1/2pi) int_{-inf}^{k1} Delta(s) / sqrt(s^2-A^2) ds.
+
+    The real part is a tail shared by every k1 above one anchor plus a
+    finite tanh-sinh integral up to k1.  In the imaginary part Delta(s) is
+    the linear interpolant of the running_winding samples to k1 (0 to
+    their left), integrated exactly cell by cell; near a zero of 1 + r1 r2
+    it misses the refined argument (FOUND line on Im F_inf in CHANGES.md).
+    Values are memoised per spectral data object and tol for its lifetime.
     """
     A = sd.A
     k1 = float(k1)
     if k1 > -A:
         raise ValueError(f"k1 must satisfy k1 <= -A, got k1={k1}")
-    if sd.source is Source.REFLECTIONLESS_SOLITON:
-        return 0.0 + 0.0j
-    gvec = _one_plus_r1r2_vec(sd)
-    log_fn, arg_at, _ = _unwound_log(gvec, k1, max(1.0, 2.0 * A))
-
-    def re_integrand(s):
-        s = np.asarray(s, dtype=float)
-        return np.real(log_fn(s)) / np.sqrt(s * s - A * A)
-
-    def im_integrand(s):
-        s = np.asarray(s, dtype=float)
-        return arg_at(s) / np.sqrt(s * s - A * A)
-
-    re_val = semiinfinite_integral(IntegrandSpec(re_integrand, max(1.0, 2.0 * A)), k1, tol=tol)
-    im_val = semiinfinite_integral(IntegrandSpec(im_integrand, max(1.0, 2.0 * A)), k1, tol=tol)
-    return complex(re_val.real / (2 * np.pi), im_val.real / (2 * np.pi))
+    return _F_inf(sd, k1, tol)
 
 
 def F_at(
@@ -306,14 +378,11 @@ class AsymptoticParams:
     dA: complex | None = None
 
 
-@lru_cache(maxsize=64)
-def _cached_F_inf(sd: SpectralData, k1: float, tol: float) -> complex:
-    return F_infinity(sd, k1, tol=tol)
-
-
-@lru_cache(maxsize=16)
-def _cached_dA(sd: SpectralData, tol: float) -> complex:
-    return transition_dA(sd, tol=tol)
+def _dA(sd: SpectralData, tol: float) -> complex:
+    table = _table(sd, tol)
+    if table.dA is None:
+        table.dA = transition_dA(sd, tol=tol)
+    return table.dA
 
 
 def modulated_params(sd: SpectralData, xi: float, tol: float = DEFAULT_TOL) -> AsymptoticParams:
@@ -322,7 +391,7 @@ def modulated_params(sd: SpectralData, xi: float, tol: float = DEFAULT_TOL) -> A
         raise RegionMismatch(f"xi={xi} is not in a modulated sector for A={sd.A}")
     k1, _ = critical_points(Direction(abs(xi), sd.A))
     dd = delta_data(sd, k1, tol=tol)  # enforces the winding bound
-    F_inf = _cached_F_inf(sd, k1, tol)
+    F_inf = _F_inf(sd, k1, tol, dd.winding)
     exponent = 0.5 - abs(dd.nu.imag)
     return AsymptoticParams(region, sd.A, k1, F_inf, exponent)
 
@@ -331,13 +400,13 @@ def central_params(sd: SpectralData, xi: float, tol: float = DEFAULT_TOL) -> Asy
     region = classify(Direction(xi, sd.A))
     if region not in (RegionTag.CENTRAL_PLUS, RegionTag.CENTRAL_MINUS):
         raise RegionMismatch(f"xi={xi} is not in a central sector for A={sd.A}")
-    F_inf = _cached_F_inf(sd, -sd.A, tol)
+    F_inf = F_infinity(sd, -sd.A, tol)
     return AsymptoticParams(region, sd.A, -sd.A, F_inf, math.inf)
 
 
 def transition_params(sd: SpectralData, tol: float = DEFAULT_TOL) -> AsymptoticParams:
-    F_inf = _cached_F_inf(sd, -sd.A, tol)
-    dA = _cached_dA(sd, tol)
+    F_inf = F_infinity(sd, -sd.A, tol)
+    dA = _dA(sd, tol)
     return AsymptoticParams(RegionTag.TRANSITION_AXIS, sd.A, -sd.A, F_inf, math.inf, dA)
 
 
@@ -398,8 +467,8 @@ def transition_continuous_at_zero(sd: SpectralData, tol: float = DEFAULT_TOL) ->
     """Whether the transition main term is continuous at x = 0: either
     Im F_inf = 0 with |d(A)| = 2A and d(A) != 2iA, or d(A) = -2iA."""
     A = sd.A
-    dA = _cached_dA(sd, tol)
-    F_inf = _cached_F_inf(sd, -A, tol)
+    dA = _dA(sd, tol)
+    F_inf = F_infinity(sd, -A, tol)
     eps = 1e-6 * A
     if abs(dA + 2j * A) < eps:
         return True

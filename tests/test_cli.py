@@ -186,6 +186,20 @@ class TestSimulateAndCompare:
         rc = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_non_finite_initial_samples_are_config_errors(self, tmp_path, command):
+        # JSON admits NaN; a soliton phase of NaN gives NaN at every sample.
+        cfg = {
+            "A": 1.0, "L": 5.0, "N": 50, "dt": 0.002, "t_end": 0.01,
+            "initial": {"kind": "soliton", "phi0": float("nan")},
+        }
+        path = tmp_path / "nan_phase.json"
+        path.write_text(json.dumps(cfg))
+        args = [command, "--config", str(path), "--out-dir", str(tmp_path / "o")]
+        if command == "compare":
+            args += ["--predictor", "soliton", "--window", "1:2"]
+        assert main(args) == 2
+
     @pytest.mark.parametrize(
         "times",
         [{"t_end": -0.1}, {"t_end": float("nan")}, {"record_times": [0.05, 0.2]}],

@@ -97,6 +97,20 @@ class TestInitField:
         with pytest.raises(TypeError):
             init_field(object(), Grid(L=1.0, N=2))
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, -math.inf)])
+    def test_non_finite_sample_rejected(self, bad):
+        g = Grid(L=5.0, N=50)
+        data = InitialData(
+            sampler=lambda x: bad if abs(x - 1.0) < 1e-9 else complex(np.tanh(x)),
+            decay_width=5.0,
+        )
+        with pytest.raises(ValueError, match="x=1"):
+            init_field(data, g)
+
+    def test_non_finite_soliton_phase_rejected(self):
+        with pytest.raises(ValueError):
+            init_field(SolitonSpec(A=1.0, phi0=math.inf), Grid(L=5.0, N=50))
+
 
 class TestStepping:
     def test_zero_dt_is_identity(self):
@@ -137,14 +151,13 @@ class TestStepping:
 
     def test_non_finite_field_is_blowup(self):
         # NaN compares False against any bound; the guard must still fire.
+        # init_field refuses such data, so the field is built directly.
         g = Grid(L=5.0, N=50)
-        data = InitialData(
-            sampler=lambda x: complex("nan") if abs(x) < 1e-9 else complex(np.tanh(x)),
-            decay_width=5.0,
-        )
+        values = np.tanh(g.x).astype(complex)
+        values[25] = complex("nan")
         cfg = SimConfig(dt=0.002, t_end=0.1, record_times=(0.1,))
         with pytest.raises(BlowupDetected) as exc:
-            evolve(init_field(data, g), cfg, 1.0)
+            evolve(Field(t=0.0, values=values, grid=g), cfg, 1.0)
         assert exc.value.t == pytest.approx(0.002)
 
 
