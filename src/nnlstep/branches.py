@@ -63,14 +63,27 @@ def _validate_horizontal(k: complex, A: float, side: CutSide, name: str) -> comp
     return k
 
 
+def f_array(k, A: float):
+    """Unchecked f off the cut, elementwise: principal sqrt(k-A)*sqrt(k+A).
+
+    The two principal cuts cancel on (-inf, -A), leaving a single cut on
+    [-A, A] and f ~ k at infinity.  Callers keep k off [-A, A].
+    """
+    return np.sqrt(k - A) * np.sqrt(k + A)
+
+
+def h_real(x, A: float):
+    """Unchecked h on the real axis, elementwise: sign(x) sqrt(x^2 + A^2),
+    the values by continuity from h ~ x on each half-line."""
+    return np.sign(x) * np.sqrt(x * x + A * A)
+
+
 def f(k: complex, A: float, side: CutSide = CutSide.OFF) -> complex:
     """Square root (k^2 - A^2)^(1/2) with f(k) ~ k at infinity."""
     A = _check_amplitude(A)
     k = _validate_horizontal(k, A, side, "f")
     if side is CutSide.OFF:
-        # Principal sqrt(k-A)*sqrt(k+A): the two principal cuts cancel on
-        # (-inf, -A), leaving a single cut on [-A, A] and f ~ k at infinity.
-        return complex(np.sqrt(k - A) * np.sqrt(k + A))
+        return complex(f_array(k, A))
     root = np.sqrt(A * A - k.real * k.real)
     return 1j * root if side is CutSide.ABOVE else -1j * root
 
@@ -101,8 +114,7 @@ def h(k: complex, A: float) -> complex:
     if k.real == 0.0 and abs(k.imag) < A:
         raise BranchDomainError(f"h(k) undefined on the cut [-iA, iA], k={k}")
     if k.imag == 0.0:
-        # Real-axis values by continuity from h ~ k on each half-line.
-        return complex(np.sign(k.real) * np.sqrt(k.real * k.real + A * A))
+        return complex(h_real(k.real, A))
     # k*sqrt(1 + A^2/k^2): the principal-sqrt cut maps exactly onto [-iA, iA].
     return complex(k * np.sqrt(1.0 + (A * A) / (k * k)))
 

@@ -290,15 +290,13 @@ def cmd_asym(args) -> int:
                 q = q_transition(sd, x, t, tol=args.tol, params=params)
                 rows.append([x, t, q.real, q.imag, abs(q),
                              RegionTag.TRANSITION_AXIS.value, "inf"])
-    elif args.xi is not None:
+    else:
         ray = _ray_profile(sd, args.tol)
         for xi in _parse_floats(args.xi):
             for t in ts:
                 q, p = ray(xi, t)
                 rows.append([4.0 * xi * t, t, q.real, q.imag, abs(q), p.region.value,
                              _fmt(p.error_exponent) if np.isfinite(p.error_exponent) else "inf"])
-    else:
-        raise CliError("config", "asym requires --xi or --x", _EXIT_IO)
     _write_csv(
         out / "asym.csv",
         ["x", "t", "re_q", "im_q", "abs_q", "region", "error_exponent"],
@@ -409,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_asym = sub.add_parser("asym", help="evaluate long-time asymptotic profiles")
     _add_source_flags(p_asym)
-    p_asym.add_argument("--xi", default=None, help="comma-separated ray directions xi = x/(4t)")
-    p_asym.add_argument("--x", default=None, help="comma-separated fixed stations (transition)")
+    where = p_asym.add_mutually_exclusive_group(required=True)
+    where.add_argument("--xi", default=None, help="comma-separated ray directions xi = x/(4t)")
+    where.add_argument("--x", default=None, help="comma-separated fixed stations (transition)")
     p_asym.add_argument("--t", required=True, help="comma-separated times")
     p_asym.add_argument("--gnuplot-script", action="store_true")
     p_asym.add_argument("--out-dir", required=True)

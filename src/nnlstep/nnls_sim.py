@@ -79,7 +79,6 @@ class SimConfig:
     dt: float
     t_end: float
     record_times: tuple = ()
-    bc_mode: str = "DirichletExact"
     cfl_coeff: float = 0.2
 
     def __post_init__(self):
@@ -90,8 +89,6 @@ class SimConfig:
         for rt in self.record_times:
             if not (math.isfinite(rt) and 0 <= rt <= self.t_end):
                 raise ValueError(f"record time {rt} outside [0, t_end={self.t_end}]")
-        if self.bc_mode != "DirichletExact":
-            raise ValueError(f"unsupported bc_mode {self.bc_mode!r}")
 
     def check_cfl(self, grid: Grid) -> None:
         limit = self.cfl_coeff * grid.dx**2

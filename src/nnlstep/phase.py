@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import CutSide, f
+from .branches import CutSide, f, f_array
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,6 @@ def signature_table(
     if np.any(im == 0.0):
         im = im + 0.5 * (im[1] - im[0])
     K = re[None, :] + 1j * im[:, None]
-    # Vectorized branch evaluation: principal sqrt(k-A)*sqrt(k+A) matches
-    # f off the cut, and no grid point lies on the cut by construction.
-    fk = np.sqrt(K - A) * np.sqrt(K + A)
-    im_theta = np.imag((4.0 * xi + 2.0 * K) * fk)
+    # No grid point lies on the cut by construction.
+    im_theta = np.imag((4.0 * xi + 2.0 * K) * f_array(K, A))
     return re, im, np.sign(im_theta).astype(int)

@@ -221,9 +221,3 @@ def running_winding(gamma: IntegrandSpec, k_end: float, samples: int = 400):
             gamma.eval, grid[i], grid[i + 1], vals[i], vals[i + 1]
         )
     return grid, cum
-
-
-def winding(gamma: IntegrandSpec, k_end: float, samples: int = 400) -> float:
-    """Total unwound argument increment of gamma over (-inf, k_end]."""
-    _, cum = running_winding(gamma, k_end, samples)
-    return float(cum[-1])

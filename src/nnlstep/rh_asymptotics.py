@@ -42,32 +42,9 @@ from .quadrature import (
     semiinfinite_integral,
     tanh_sinh,
 )
-from .spectral import SpectralData, Source, _step_a1a2_vec
+from .spectral import SpectralData, Source, endpoint_zero, one_plus_r1r2_ray
 
-_ENDPOINT_ZERO_RTOL = 1e-6
 _STATION_GUARD = 1e-8
-
-
-def _one_plus_r1r2_vec(sd: SpectralData) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized 1 + r1(s) r2(s) on real s off the cut.
-
-    Uses the determinant relation a1 a2 + b(s) conj(b(-s)) = 1, which turns
-    the product into 1 / (a1 a2) and avoids evaluating b.
-    """
-    if sd.source is Source.REFLECTIONLESS_SOLITON:
-        return lambda s: np.ones(np.shape(s), dtype=complex)
-    if sd.source is Source.CLOSED_FORM_STEP and sd.step_R is not None:
-        A, R = sd.A, sd.step_R
-        return lambda s: 1.0 / _step_a1a2_vec(np.asarray(s, dtype=float), A, R)
-
-    def generic(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.array(
-            [1.0 / (sd.a1(x, CutSide.OFF) * sd.a2(x, CutSide.OFF)) for x in s],
-            dtype=complex,
-        )
-
-    return generic
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +116,10 @@ def delta_data(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> DeltaDa
     k1 = float(k1)
     if k1 > -A:
         raise ValueError(f"k1 must satisfy k1 <= -A, got k1={k1}, A={A}")
-    gvec = _one_plus_r1r2_vec(sd)
+    gvec = one_plus_r1r2_ray(sd)
     decay = max(1.0, 2.0 * A)
 
-    zero_at_minus_A = False
-    if abs(k1 + A) <= 1e-12 * A:
-        probe = complex(gvec(np.array([-A * (1.0 + 1e-8)]))[0])
-        ref = complex(gvec(np.array([-2.0 * A]))[0])
-        zero_at_minus_A = abs(probe) < _ENDPOINT_ZERO_RTOL * max(abs(ref), 1e-300)
+    zero_at_minus_A = abs(k1 + A) <= 1e-12 * A and endpoint_zero(sd)[0]
 
     log_fn, grid, cum = _unwound_log(gvec, k1, decay)
 
@@ -255,7 +228,7 @@ def _F_inf(sd: SpectralData, k1: float, tol: float, winding=None) -> complex:
     if F is not None:
         return F
     A = sd.A
-    gvec = _one_plus_r1r2_vec(sd)
+    gvec = one_plus_r1r2_ray(sd)
 
     def log_abs_over_root(s):
         s = np.asarray(s, dtype=float)

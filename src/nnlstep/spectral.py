@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from .branches import CutSide, background_matrix, f, h
+from .branches import CutSide, background_matrix, f, f_array, h, h_real
 from .errors import (
     BranchPointProximity,
     DivisionByZeroSpectral,
@@ -98,7 +98,6 @@ class SpectralData:
     gamma_plus: complex
     gamma_minus: complex
     source: Source
-    a1_plus_at_zero: complex = 0.0
     step_R: float | None = None
 
 
@@ -149,10 +148,10 @@ def _step_a1a2_vec(s: np.ndarray, A: float, R: float) -> np.ndarray:
     """
     s = np.asarray(s, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fs = np.sqrt(s - A) * np.sqrt(s + A)
+        fs = f_array(s, A)
         if R == 0.0:
             return s * s / (fs * fs)
-        hs = np.sign(s.real) * np.sqrt(s.real * s.real + A * A)
+        hs = h_real(s.real, A)
         p, m = _step_pm(s, fs, hs, A, R, np.exp)
         return p * m / (2.0 * fs * hs) ** 2
 
@@ -187,9 +186,8 @@ def step_spectral(profile: StepProfile) -> SpectralData:
     gamma = complex(-math.cos(2 * A * R))
     if R == 0.0:
         a10 = -1j / A
-        a1_zero = 0.0 + 0.0j
     else:
-        a1_zero, a10, _ = _fit_small_k(lambda k: a1(k, CutSide.ABOVE), A)
+        _, a10, _ = _fit_small_k(lambda k: a1(k, CutSide.ABOVE), A)
     return SpectralData(
         A=A,
         a1=a1,
@@ -199,7 +197,6 @@ def step_spectral(profile: StepProfile) -> SpectralData:
         gamma_plus=gamma,
         gamma_minus=gamma,
         source=Source.CLOSED_FORM_STEP,
-        a1_plus_at_zero=a1_zero,
         step_R=R,
     )
 
@@ -366,7 +363,7 @@ def jost_spectral(
     def b(k, side=CutSide.OFF):
         return lookup(k, side, 2)
 
-    a1_zero, a10, _ = _fit_small_k(lambda k: a1(k, CutSide.ABOVE), A)
+    _, a10, _ = _fit_small_k(lambda k: a1(k, CutSide.ABOVE), A)
 
     # Norming constants from the k = 0 boundary values: for exponentially
     # decaying deviations b extends analytically and gamma_+ = b_+(0),
@@ -389,7 +386,6 @@ def jost_spectral(
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,
         source=Source.NUMERIC_JOST,
-        a1_plus_at_zero=a1_zero,
     )
 
 
@@ -425,6 +421,41 @@ def reflection(sd: SpectralData, k: complex, side: CutSide = CutSide.OFF):
 def one_plus_r1r2(sd: SpectralData, k: float, side: CutSide = CutSide.OFF) -> complex:
     r1, r2 = reflection(sd, k, side)
     return 1.0 + r1 * r2
+
+
+def one_plus_r1r2_ray(sd: SpectralData) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized 1 + r1(s) r2(s) on real s off the cut.
+
+    Uses the determinant relation a1 a2 + b(s) conj(b(-s)) = 1, which turns
+    the product into 1 / (a1 a2) and avoids evaluating b.
+    """
+    if sd.source is Source.REFLECTIONLESS_SOLITON:
+        return lambda s: np.ones(np.shape(s), dtype=complex)
+    if sd.source is Source.CLOSED_FORM_STEP and sd.step_R is not None:
+        A, R = sd.A, sd.step_R
+        return lambda s: 1.0 / _step_a1a2_vec(np.asarray(s, dtype=float), A, R)
+
+    def generic(s):
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        return np.array(
+            [1.0 / (sd.a1(x, CutSide.OFF) * sd.a2(x, CutSide.OFF)) for x in s],
+            dtype=complex,
+        )
+
+    return generic
+
+
+def endpoint_zero(sd: SpectralData) -> tuple[bool, complex]:
+    """Whether 1 + r1 r2 vanishes at k = -A, with the probe value.
+
+    The probe sits at -A(1 + 1e-8) and counts as zero below 1e-6 times the
+    modulus at the reference point -2A.
+    """
+    A = sd.A
+    g = one_plus_r1r2_ray(sd)
+    probe = complex(g(np.array([-A * (1.0 + 1e-8)]))[0])
+    ref = complex(g(np.array([-2.0 * A]))[0])
+    return abs(probe) < 1e-6 * max(abs(ref), 1e-300), probe
 
 
 @dataclass(frozen=True)
@@ -493,7 +524,8 @@ def check_assumptions(sd: SpectralData, samples: int = 600) -> AssumptionReport:
     plane contour (analytic sources only), (ii) the simple zero of a1_+ at
     the origin with purely imaginary linear coefficient, (iii) the running
     winding of arg(1 + r1 r2) on (-inf, -A) staying inside (-pi, pi), and
-    (iv) whether 1 + r1 r2 vanishes at k = -A.
+    (iv) whether 1 + r1 r2 vanishes at k = -A.  Both read 1 + r1 r2 from
+    one_plus_r1r2_ray, the form delta and F_inf integrate.
     """
     A = sd.A
     notes = []
@@ -516,26 +548,11 @@ def check_assumptions(sd: SpectralData, samples: int = 600) -> AssumptionReport:
     re_small = abs(a10_fit.real) <= 1e-6 * max(abs(a10_fit), 1e-300)
 
     if sd.source is Source.REFLECTIONLESS_SOLITON:
-        winding_ok = True
-        winding_sup = 0.0
-        endpoint_val = 1.0 + 0.0j
-        endpoint_zero = False
         notes.append("reflectionless data: 1 + r1 r2 = 1 identically")
-    else:
-        path = IntegrandSpec(
-            eval=lambda ks: np.array(
-                [one_plus_r1r2(sd, float(k)) for k in np.atleast_1d(ks)],
-                dtype=complex,
-            ),
-            decay_estimate=max(1.0, 2.0 * A),
-        )
-        _, cum = running_winding(path, -A * (1.0 + 1e-6), samples=samples)
-        winding_sup = float(np.max(np.abs(cum)))
-        winding_ok = winding_sup < np.pi
-
-        endpoint_val = one_plus_r1r2(sd, -A * (1.0 + 1e-8))
-        ref = one_plus_r1r2(sd, -2.0 * A)
-        endpoint_zero = abs(endpoint_val) < 1e-6 * max(abs(ref), 1e-300)
+    path = IntegrandSpec(eval=one_plus_r1r2_ray(sd), decay_estimate=max(1.0, 2.0 * A))
+    _, cum = running_winding(path, -A * (1.0 + 1e-6), samples=samples)
+    winding_sup = float(np.max(np.abs(cum)))
+    at_minus_A, endpoint_val = endpoint_zero(sd)
 
     return AssumptionReport(
         a1_winding=a1_winding,
@@ -545,9 +562,9 @@ def check_assumptions(sd: SpectralData, samples: int = 600) -> AssumptionReport:
         a1_plus_at_zero=a1_zero,
         simple_zero_at_origin=simple_zero,
         re_a10_small=re_small,
-        winding_bound_ok=winding_ok,
+        winding_bound_ok=winding_sup < np.pi,
         winding_sup=winding_sup,
-        endpoint_zero_at_minus_A=endpoint_zero,
-        endpoint_value=complex(endpoint_val),
+        endpoint_zero_at_minus_A=at_minus_A,
+        endpoint_value=endpoint_val,
         notes=tuple(notes),
     )

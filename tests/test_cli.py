@@ -104,6 +104,15 @@ class TestAsymCommand:
         rc = main(["asym", "--t", "10", "--out-dir", str(tmp_path / "m")])
         assert rc == 2
 
+    def test_ray_and_station_together_rejected(self, tmp_path):
+        # One run evaluates either rays or stations; both is a usage error
+        # rather than a CSV that silently lacks the rays.
+        out = tmp_path / "both"
+        rc = main(["asym", "--soliton", "--A", "1.0", "--xi", "0.75", "--x", "0.5",
+                   "--t", "10", "--out-dir", str(out)])
+        assert rc == 2
+        assert not (out / "asym.csv").exists()
+
 
 class TestSimulateAndCompare:
     @pytest.fixture

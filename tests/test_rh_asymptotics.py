@@ -46,6 +46,7 @@ from nnlstep.quadrature import (
     semiinfinite_integral,
     tanh_sinh,
 )
+from nnlstep.spectral import one_plus_r1r2_ray
 
 
 def _g_centered_step(s):
@@ -64,9 +65,10 @@ class TestDelta:
         # The endpoint-zero probe belongs to k1 = -A alone; for Jost data a
         # sample next to -A trips the branch-point guard on every ray.
         import nnlstep.rh_asymptotics as rh
+        import nnlstep.spectral as spectral
 
         seen = []
-        vec = rh._one_plus_r1r2_vec
+        vec = spectral.one_plus_r1r2_ray
 
         def recording(sd):
             g = vec(sd)
@@ -77,7 +79,9 @@ class TestDelta:
 
             return sampled
 
-        monkeypatch.setattr(rh, "_one_plus_r1r2_vec", recording)
+        # Both bindings: delta_data's own and the one endpoint_zero reads.
+        monkeypatch.setattr(rh, "one_plus_r1r2_ray", recording)
+        monkeypatch.setattr(spectral, "one_plus_r1r2_ray", recording)
         k1 = -0.5 * (2.0 + math.sqrt(6.0))  # the ray xi = 2, A = 1
         delta_data(step_sd, k1)
         points = np.concatenate(seen)
@@ -285,7 +289,7 @@ def _walker_F_inf(sd, k1, tol=1e-8):
     """F_inf as two semi-infinite walker calls: ln|1 + r1 r2| and the
     np.interp winding interpolant, each over sqrt(s^2 - A^2)."""
     A = sd.A
-    g = rh._one_plus_r1r2_vec(sd)
+    g = one_plus_r1r2_ray(sd)
     decay = max(1.0, 2.0 * A)
     k_end = k1 - 1e-9 * max(1.0, abs(k1))
     grid, cum = running_winding(IntegrandSpec(g, decay), k_end, samples=600)

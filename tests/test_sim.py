@@ -59,7 +59,9 @@ class TestSimConfig:
             SimConfig(dt=0.001, t_end=1.0, record_times=(0.5, rt))
 
     def test_unknown_bc_rejected(self):
-        with pytest.raises(ValueError):
+        # Exact Dirichlet values are the only boundary condition; there is
+        # no keyword to ask for another.
+        with pytest.raises(TypeError):
             SimConfig(dt=0.001, t_end=1.0, bc_mode="Periodic")
 
 

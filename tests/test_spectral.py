@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,14 +17,16 @@ from nnlstep import (
     Source,
     StepProfile,
     check_assumptions,
+    delta_data,
     f,
     jost_spectral,
     reflection,
     soliton_spectral,
     step_spectral,
 )
-from nnlstep.rh_asymptotics import _one_plus_r1r2_vec
-from nnlstep.spectral import _det2, _jost_at, one_plus_r1r2
+import nnlstep.spectral as spectral
+from nnlstep.quadrature import IntegrandSpec, running_winding
+from nnlstep.spectral import _det2, _jost_at, one_plus_r1r2, one_plus_r1r2_ray
 
 
 def _det_relation_residual(sd, k):
@@ -105,7 +108,7 @@ class TestStepFormsAgree:
         # the scalar closed form through b/a1 and conj(b(-s))/a2.
         sd = step_spectral(StepProfile(A=A, R=R))
         s = -A * (1.0 + 10.0**u)
-        vec = complex(_one_plus_r1r2_vec(sd)(np.array([s]))[0])
+        vec = complex(one_plus_r1r2_ray(sd)(np.array([s]))[0])
         ref = one_plus_r1r2(sd, s)
         assert abs(vec - ref) <= 1e-10 * abs(ref)
 
@@ -249,3 +252,31 @@ class TestAssumptionReport:
         assert rep.simple_zero_at_origin
         assert not rep.endpoint_zero_at_minus_A
         assert rep.passed
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(A=st.floats(0.5, 2.0), R=st.floats(-1.5, 1.5))
+    def test_ray_checks_match_scalar_path(self, A, R):
+        # The winding bound and the endpoint zero through 1/(a1 a2) against
+        # a per-point path through b/a1 and conj(b(-s))/a2.  The a1 contour
+        # winding is a separate check (it is inconclusive at A = 1, R = 1.5),
+        # so it is stubbed out here.
+        sd = step_spectral(StepProfile(A=A, R=R))
+
+        def scalar(ks):
+            return np.array([one_plus_r1r2(sd, float(k)) for k in np.atleast_1d(ks)],
+                            dtype=complex)
+
+        path = IntegrandSpec(eval=scalar, decay_estimate=max(1.0, 2.0 * A))
+        _, cum = running_winding(path, -A * (1.0 + 1e-6), samples=600)
+        probe = one_plus_r1r2(sd, -A * (1.0 + 1e-8))
+        ref = one_plus_r1r2(sd, -2.0 * A)
+        with mock.patch.object(spectral, "_closed_contour_winding", return_value=0.0):
+            rep = check_assumptions(sd)
+        assert abs(rep.winding_sup - float(np.max(np.abs(cum)))) <= 1e-8
+        assert rep.endpoint_zero_at_minus_A == (abs(probe) < 1e-6 * abs(ref))
+
+    @pytest.mark.parametrize("R", [-1.0, 0.0, 0.7, pytest.param(None, id="soliton")])
+    def test_endpoint_zero_agrees_with_delta_data(self, R):
+        sd = soliton_spectral(1.0, 0.0) if R is None else step_spectral(StepProfile(A=1.0, R=R))
+        rep = check_assumptions(sd)
+        assert rep.endpoint_zero_at_minus_A == delta_data(sd, -1.0).zero_at_minus_A
