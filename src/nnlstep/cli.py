@@ -113,9 +113,12 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _parse_floats(spec: str) -> list[float]:
     try:
-        return [float(s) for s in spec.split(",") if s != ""]
+        values = [float(s) for s in spec.split(",") if s != ""]
     except ValueError:
+        values = []
+    if not values:
         raise CliError("config", f"bad numeric list {spec!r}", _EXIT_IO)
+    return values
 
 
 def _load_initial_csv(path: str, A: float) -> InitialData:
@@ -130,9 +133,12 @@ def _load_initial_csv(path: str, A: float) -> InitialData:
                 continue  # header
             if len(row) < 3:
                 raise CliError("io", f"row {i} of {path} has fewer than 3 columns", _EXIT_IO)
-            xs.append(float(row[0]))
-            res.append(float(row[1]))
-            ims.append(float(row[2]))
+            try:
+                xs.append(float(row[0]))
+                res.append(float(row[1]))
+                ims.append(float(row[2]))
+            except ValueError:
+                raise CliError("config", f"row {i} of {path} is not numeric", _EXIT_IO)
     if len(xs) < 2:
         raise CliError("io", f"{path} contains fewer than 2 samples", _EXIT_IO)
     if not np.all(np.isfinite([xs, res, ims])):
@@ -188,7 +194,6 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--soliton", action="store_true", help="use reflectionless one-soliton data")
     p.add_argument("--phi0", type=float, default=0.0, help="soliton phase parameter")
     p.add_argument("--input-csv", default=None, help="CSV with columns x, re_q0, im_q0")
-    p.add_argument("--tol", type=float, default=1e-8, help="quadrature tolerance")
 
 
 def cmd_spectral(args) -> int:
@@ -248,7 +253,7 @@ _MODULATED = (RegionTag.MODULATED_PLUS, RegionTag.MODULATED_MINUS)
 _CENTRAL = (RegionTag.CENTRAL_PLUS, RegionTag.CENTRAL_MINUS)
 
 
-def _ray_profile(sd, tol: float, family: str | None = None):
+def _ray_profile(sd, family: str | None = None):
     """Leading-order profile along rays xi = x/(4t): (xi, t) -> (q, params).
 
     Each ray is classified; a region boundary, or a region outside
@@ -271,9 +276,9 @@ def _ray_profile(sd, tol: float, family: str | None = None):
         modulated = region in _MODULATED
         key = round(xi, 12) if modulated else region
         if key not in cache:
-            cache[key] = (modulated_params if modulated else central_params)(sd, xi, tol=tol)
+            cache[key] = (modulated_params if modulated else central_params)(sd, xi)
         evaluate = q_modulated if modulated else q_central
-        return evaluate(sd, xi, t, tol=tol, params=cache[key]), cache[key]
+        return evaluate(sd, xi, t, params=cache[key]), cache[key]
 
     return profile
 
@@ -284,14 +289,14 @@ def cmd_asym(args) -> int:
     ts = _parse_floats(args.t)
     rows = []
     if args.x is not None:
-        params = transition_params(sd, tol=args.tol)
+        params = transition_params(sd)
         for x in _parse_floats(args.x):
             for t in ts:
-                q = q_transition(sd, x, t, tol=args.tol, params=params)
+                q = q_transition(sd, x, t, params=params)
                 rows.append([x, t, q.real, q.imag, abs(q),
                              RegionTag.TRANSITION_AXIS.value, "inf"])
     else:
-        ray = _ray_profile(sd, args.tol)
+        ray = _ray_profile(sd)
         for xi in _parse_floats(args.xi):
             for t in ts:
                 q, p = ray(xi, t)
@@ -374,10 +379,10 @@ def cmd_compare(args) -> int:
         predictor = lambda x, t: q_soliton(A, phi0, x, t)
     elif args.predictor == "transition":
         sd = _spectral_data(q0, A)
-        params = transition_params(sd, tol=args.tol)
-        predictor = lambda x, t: q_transition(sd, x, t, tol=args.tol, params=params)
+        params = transition_params(sd)
+        predictor = lambda x, t: q_transition(sd, x, t, params=params)
     else:
-        ray = _ray_profile(_spectral_data(q0, A), args.tol, args.predictor)
+        ray = _ray_profile(_spectral_data(q0, A), args.predictor)
         predictor = lambda x, t: ray(x / (4.0 * t), t)[0]
 
     snapshots = evolve(field, sim, A)
@@ -425,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--predictor", required=True,
                        choices=["modulated", "central", "transition", "soliton"])
     p_cmp.add_argument("--window", required=True, help="x window as lo:hi")
-    p_cmp.add_argument("--tol", type=float, default=1e-8)
     p_cmp.add_argument("--out-dir", required=True)
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -42,9 +42,11 @@ from .quadrature import (
     semiinfinite_integral,
     tanh_sinh,
 )
-from .spectral import SpectralData, Source, endpoint_zero, one_plus_r1r2_ray
+from .spectral import RAY_SAMPLES, SpectralData, Source, endpoint_zero, one_plus_r1r2_ray, ray_decay
 
 _STATION_GUARD = 1e-8
+# Ray integrals meet DEFAULT_TOL; each summed piece of Re F_inf a tenth of it.
+_PIECE_TOL = DEFAULT_TOL / 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +79,7 @@ class DeltaData:
     )
 
 
-def _unwound_log(gvec, k1: float, decay: float, samples: int = 600):
+def _unwound_log(gvec, k1: float, decay: float):
     """Continuous branch of ln g on (-inf, k1], unwound from g(-inf) ~ 1.
 
     Returns (log_fn vectorized, grid, cum): one running_winding pass, whose
@@ -90,7 +92,7 @@ def _unwound_log(gvec, k1: float, decay: float, samples: int = 600):
     """
     spec = IntegrandSpec(eval=gvec, decay_estimate=decay)
     k_end = k1 - 1e-9 * max(1.0, abs(k1))
-    grid, cum = running_winding(spec, k_end, samples=samples)
+    grid, cum = running_winding(spec, k_end, samples=RAY_SAMPLES)
 
     def log_fn(s):
         s = np.asarray(s, dtype=float)
@@ -103,7 +105,7 @@ def _unwound_log(gvec, k1: float, decay: float, samples: int = 600):
     return log_fn, grid, cum
 
 
-def delta_data(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> DeltaData:
+def delta_data(sd: SpectralData, k1: float) -> DeltaData:
     """Construct delta(. , k1) = exp{(2 pi i)^{-1} int_{-inf}^{k1} ln(1+r1r2)/(z-k)}.
 
     The logarithm branch is unwound continuously from the normalized end
@@ -117,7 +119,7 @@ def delta_data(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> DeltaDa
     if k1 > -A:
         raise ValueError(f"k1 must satisfy k1 <= -A, got k1={k1}, A={A}")
     gvec = one_plus_r1r2_ray(sd)
-    decay = max(1.0, 2.0 * A)
+    decay = ray_decay(A)
 
     zero_at_minus_A = abs(k1 + A) <= 1e-12 * A and endpoint_zero(sd)[0]
 
@@ -146,7 +148,7 @@ def delta_data(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> DeltaDa
     spec = IntegrandSpec(eval=log_fn, decay_estimate=decay)
 
     def log_delta_at(k: complex) -> complex:
-        return cauchy_semiinfinite(spec, k1, complex(k), tol=tol) / (2j * np.pi)
+        return cauchy_semiinfinite(spec, k1, complex(k)) / (2j * np.pi)
 
     def delta_at(k: complex) -> complex:
         return cmath.exp(log_delta_at(k))
@@ -154,7 +156,7 @@ def delta_data(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> DeltaDa
     def delta_boundary(x0: float, side: CutSide) -> complex:
         # Plemelj: the boundary values on (-inf, k1) are the principal
         # value plus/minus half the local logarithm.
-        pv = cauchy_semiinfinite_pv(spec, k1, float(x0), tol=tol) / (2j * np.pi)
+        pv = cauchy_semiinfinite_pv(spec, k1, float(x0)) / (2j * np.pi)
         half = 0.5 * complex(log_fn(np.array([float(x0)]))[0])
         if side is CutSide.ABOVE:
             return cmath.exp(pv + half)
@@ -182,7 +184,7 @@ def delta_data(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> DeltaDa
 
 
 class _RayTable:
-    """What the rays of one spectral data set share at one tolerance.
+    """What the rays of one spectral data set share.
 
     Holds F_inf by k1, d(A), and the tails
     T_j = int_{-inf}^{c_j} ln|1+r1r2(s)| / sqrt(s^2-A^2) ds at the anchors
@@ -197,10 +199,6 @@ class _RayTable:
 
 
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _table(sd: SpectralData, tol: float) -> _RayTable:
-    return _TABLES.setdefault(sd, {}).setdefault(tol, _RayTable())
 
 
 def _winding_over_root(grid: np.ndarray, cum: np.ndarray, k1: float, A: float) -> float:
@@ -218,12 +216,12 @@ def _winding_over_root(grid: np.ndarray, cum: np.ndarray, k1: float, A: float) -
     return float(np.sum(cells)) + float(cum[-1]) * last
 
 
-def _F_inf(sd: SpectralData, k1: float, tol: float, winding=None) -> complex:
+def _F_inf(sd: SpectralData, k1: float, winding=None) -> complex:
     """F_inf(k1) through the data's table; winding is the (grid, cum) of a
     running_winding pass to k1 already made (delta_data's), if any."""
     if sd.source is Source.REFLECTIONLESS_SOLITON:
         return 0.0 + 0.0j
-    table = _table(sd, tol)
+    table = _TABLES.setdefault(sd, _RayTable())
     F = table.F_inf.get(k1)
     if F is not None:
         return F
@@ -234,16 +232,16 @@ def _F_inf(sd: SpectralData, k1: float, tol: float, winding=None) -> complex:
         s = np.asarray(s, dtype=float)
         return np.log(np.abs(gvec(s))) / np.sqrt(s * s - A * A)
 
-    spec = IntegrandSpec(log_abs_over_root, max(1.0, 2.0 * A))
+    spec = IntegrandSpec(log_abs_over_root, ray_decay(A))
     j = 1
     while -(2.0**j) * A >= k1:
         j += 1
     anchor = -(2.0**j) * A
     if j not in table.tails:
-        table.tails[j] = semiinfinite_integral(spec, anchor, tol=tol / 10.0).real
-    piece, _ = tanh_sinh(spec.eval, anchor, k1, tol=tol / 10.0)
+        table.tails[j] = semiinfinite_integral(spec, anchor, tol=_PIECE_TOL).real
+    piece, _ = tanh_sinh(spec.eval, anchor, k1, tol=_PIECE_TOL)
     if winding is None:
-        _, grid, cum = _unwound_log(gvec, k1, max(1.0, 2.0 * A))
+        _, grid, cum = _unwound_log(gvec, k1, ray_decay(A))
     else:
         grid, cum = winding
     re_val = table.tails[j] + piece.real
@@ -252,7 +250,7 @@ def _F_inf(sd: SpectralData, k1: float, tol: float, winding=None) -> complex:
     return F
 
 
-def F_infinity(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> complex:
+def F_infinity(sd: SpectralData, k1: float) -> complex:
     """F_inf(k1), the logarithm of the large-k limit of F(k, k1).
 
     The defining double integral (Chebyshev weight in the outer variable,
@@ -269,22 +267,16 @@ def F_infinity(sd: SpectralData, k1: float, tol: float = DEFAULT_TOL) -> complex
     the linear interpolant of the running_winding samples to k1 (0 to
     their left), integrated exactly cell by cell; near a zero of 1 + r1 r2
     it misses the refined argument (FOUND line on Im F_inf in CHANGES.md).
-    Values are memoised per spectral data object and tol for its lifetime.
+    Values are memoised per spectral data object for its lifetime.
     """
     A = sd.A
     k1 = float(k1)
     if k1 > -A:
         raise ValueError(f"k1 must satisfy k1 <= -A, got k1={k1}")
-    return _F_inf(sd, k1, tol)
+    return _F_inf(sd, k1)
 
 
-def F_at(
-    sd: SpectralData,
-    dd: DeltaData,
-    k: complex,
-    side: CutSide = CutSide.OFF,
-    tol: float = DEFAULT_TOL,
-) -> complex:
+def F_at(sd: SpectralData, dd: DeltaData, k: complex, side: CutSide = CutSide.OFF) -> complex:
     """F(k, k1), valid off the cut and (with a side) on (-A, A).
 
     The defining cut integral of ln delta is collapsed by a partial-
@@ -309,18 +301,19 @@ def F_at(
         fs = -np.sqrt(s * s - A * A)
         return dd.log_g_at(s) * (fs - fk) / fs
 
-    spec = IntegrandSpec(integrand, max(1.0, 2.0 * A))
-    val = cauchy_semiinfinite(spec, k1, complex(k), tol=tol) / (2j * np.pi)
+    spec = IntegrandSpec(integrand, ray_decay(A))
+    val = cauchy_semiinfinite(spec, k1, complex(k)) / (2j * np.pi)
     return cmath.exp(val)
 
 
-def F_plus_at_zero(sd: SpectralData, dd: DeltaData, tol: float = DEFAULT_TOL) -> complex:
+def F_plus_at_zero(sd: SpectralData, dd: DeltaData) -> complex:
     """Above-side boundary value F_+(0, k1)."""
-    return F_at(sd, dd, 0.0, CutSide.ABOVE, tol=tol)
+    return F_at(sd, dd, 0.0, CutSide.ABOVE)
 
 
-def transition_dA(sd: SpectralData, tol: float = DEFAULT_TOL) -> complex:
-    """Transition constant d(A) = gamma_+ F_+^2(0,-A) / (a10 delta^2(0,-A))."""
+def transition_dA(sd: SpectralData) -> complex:
+    """Transition constant d(A) = gamma_+ F_+^2(0,-A) / (a10 delta^2(0,-A)),
+    memoised per spectral data object for its lifetime."""
     gamma = sd.gamma_plus
     if gamma is None or (isinstance(gamma, complex) and cmath.isnan(gamma)):
         raise MissingNormingConstant("spectral data has no norming constant gamma_+")
@@ -328,10 +321,13 @@ def transition_dA(sd: SpectralData, tol: float = DEFAULT_TOL) -> complex:
         raise MissingNormingConstant("spectral data has no valid a10 coefficient")
     if sd.source is Source.REFLECTIONLESS_SOLITON:
         return complex(gamma / sd.a10)  # F = delta = 1
-    dd = delta_data(sd, -sd.A, tol=tol)
-    Fp0 = F_plus_at_zero(sd, dd, tol=tol)
-    d0 = dd.delta_at(0.0)
-    return complex(gamma) * Fp0**2 / (complex(sd.a10) * d0**2)
+    table = _TABLES.setdefault(sd, _RayTable())
+    if table.dA is None:
+        dd = delta_data(sd, -sd.A)
+        Fp0 = F_plus_at_zero(sd, dd)
+        d0 = dd.delta_at(0.0)
+        table.dA = complex(gamma) * Fp0**2 / (complex(sd.a10) * d0**2)
+    return table.dA
 
 
 # ---------------------------------------------------------------------------
@@ -351,35 +347,28 @@ class AsymptoticParams:
     dA: complex | None = None
 
 
-def _dA(sd: SpectralData, tol: float) -> complex:
-    table = _table(sd, tol)
-    if table.dA is None:
-        table.dA = transition_dA(sd, tol=tol)
-    return table.dA
-
-
-def modulated_params(sd: SpectralData, xi: float, tol: float = DEFAULT_TOL) -> AsymptoticParams:
+def modulated_params(sd: SpectralData, xi: float) -> AsymptoticParams:
     region = classify(Direction(xi, sd.A))
     if region not in (RegionTag.MODULATED_PLUS, RegionTag.MODULATED_MINUS):
         raise RegionMismatch(f"xi={xi} is not in a modulated sector for A={sd.A}")
     k1, _ = critical_points(Direction(abs(xi), sd.A))
-    dd = delta_data(sd, k1, tol=tol)  # enforces the winding bound
-    F_inf = _F_inf(sd, k1, tol, dd.winding)
+    dd = delta_data(sd, k1)  # enforces the winding bound
+    F_inf = _F_inf(sd, k1, dd.winding)
     exponent = 0.5 - abs(dd.nu.imag)
     return AsymptoticParams(region, sd.A, k1, F_inf, exponent)
 
 
-def central_params(sd: SpectralData, xi: float, tol: float = DEFAULT_TOL) -> AsymptoticParams:
+def central_params(sd: SpectralData, xi: float) -> AsymptoticParams:
     region = classify(Direction(xi, sd.A))
     if region not in (RegionTag.CENTRAL_PLUS, RegionTag.CENTRAL_MINUS):
         raise RegionMismatch(f"xi={xi} is not in a central sector for A={sd.A}")
-    F_inf = F_infinity(sd, -sd.A, tol)
+    F_inf = F_infinity(sd, -sd.A)
     return AsymptoticParams(region, sd.A, -sd.A, F_inf, math.inf)
 
 
-def transition_params(sd: SpectralData, tol: float = DEFAULT_TOL) -> AsymptoticParams:
-    F_inf = F_infinity(sd, -sd.A, tol)
-    dA = _dA(sd, tol)
+def transition_params(sd: SpectralData) -> AsymptoticParams:
+    F_inf = F_infinity(sd, -sd.A)
+    dA = transition_dA(sd)
     return AsymptoticParams(RegionTag.TRANSITION_AXIS, sd.A, -sd.A, F_inf, math.inf, dA)
 
 
@@ -391,35 +380,32 @@ def _plane_wave(A: float, F_inf: complex, t: float, positive_side: bool) -> comp
 
 
 def q_modulated(
-    sd: SpectralData, xi: float, t: float, tol: float = DEFAULT_TOL,
-    params: AsymptoticParams | None = None,
+    sd: SpectralData, xi: float, t: float, params: AsymptoticParams | None = None
 ) -> complex:
     """Leading term along the ray x = 4 xi t in a modulated sector."""
-    p = params if params is not None else modulated_params(sd, xi, tol)
+    p = params if params is not None else modulated_params(sd, xi)
     if p.region not in (RegionTag.MODULATED_PLUS, RegionTag.MODULATED_MINUS):
         raise RegionMismatch(f"params region {p.region} is not modulated")
     return _plane_wave(p.A, p.F_inf, t, p.region is RegionTag.MODULATED_PLUS)
 
 
 def q_central(
-    sd: SpectralData, xi: float, t: float, tol: float = DEFAULT_TOL,
-    params: AsymptoticParams | None = None,
+    sd: SpectralData, xi: float, t: float, params: AsymptoticParams | None = None
 ) -> complex:
     """Leading term in a central sector; xi-independent within each side."""
-    p = params if params is not None else central_params(sd, xi, tol)
+    p = params if params is not None else central_params(sd, xi)
     if p.region not in (RegionTag.CENTRAL_PLUS, RegionTag.CENTRAL_MINUS):
         raise RegionMismatch(f"params region {p.region} is not central")
     return _plane_wave(p.A, p.F_inf, t, p.region is RegionTag.CENTRAL_PLUS)
 
 
 def q_transition(
-    sd: SpectralData, x: float, t: float, tol: float = DEFAULT_TOL,
-    params: AsymptoticParams | None = None,
+    sd: SpectralData, x: float, t: float, params: AsymptoticParams | None = None
 ) -> complex:
     """Leading term along fixed x != 0 as t grows (transition strip)."""
     if x == 0.0:
         raise RegionMismatch("the transition profile is not defined at x = 0")
-    p = params if params is not None else transition_params(sd, tol)
+    p = params if params is not None else transition_params(sd)
     A, dA, F_inf = p.A, p.dA, p.F_inf
     if x > 0:
         e = cmath.exp(-2.0 * A * x)
@@ -436,12 +422,12 @@ def q_transition(
     return _plane_wave(A, F_inf, t, False) * ratio
 
 
-def transition_continuous_at_zero(sd: SpectralData, tol: float = DEFAULT_TOL) -> bool:
+def transition_continuous_at_zero(sd: SpectralData) -> bool:
     """Whether the transition main term is continuous at x = 0: either
     Im F_inf = 0 with |d(A)| = 2A and d(A) != 2iA, or d(A) = -2iA."""
     A = sd.A
-    dA = _dA(sd, tol)
-    F_inf = F_infinity(sd, -A, tol)
+    dA = transition_dA(sd)
+    F_inf = F_infinity(sd, -A)
     eps = 1e-6 * A
     if abs(dA + 2j * A) < eps:
         return True

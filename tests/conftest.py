@@ -1,8 +1,14 @@
-"""Shared fixtures: spectral data objects reused across the suite."""
+"""Shared fixtures and the Hypothesis profile of the suite."""
 
 import pytest
+from hypothesis import settings
 
 from nnlstep import StepProfile, soliton_spectral, step_spectral
+
+# Reproducible property tests: fixed draws, no example database, no timing
+# limit (some draws run a quadrature).
+settings.register_profile("nnlstep", derandomize=True, database=None, deadline=None)
+settings.load_profile("nnlstep")
 
 
 @pytest.fixture(scope="session")

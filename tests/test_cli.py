@@ -56,6 +56,14 @@ class TestSpectralCommand:
         rc = main(["spectral", "--k-grid", "nope", "--out-dir", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_fast_turning_contour_still_reports(self, tmp_path):
+        # The a1 contour of this step turns by pi/2 or more between
+        # neighbouring samples; the refined winding is still reported.
+        out = tmp_path / "r15"
+        assert main(["spectral", "--A", "1", "--step-R", "1.5", "--out-dir", str(out)]) == 0
+        report = json.loads((out / "assumptions_report.json").read_text())
+        assert report["a1_winding"] == 4
+
 
 class TestAsymCommand:
     def test_soliton_ray(self, tmp_path):
@@ -99,6 +107,15 @@ class TestAsymCommand:
             assert r[header.index("region")] == ("CentralPlus" if xi > 0 else "CentralMinus")
             q = complex(float(r[header.index("re_q")]), float(r[header.index("im_q")]))
             assert abs(q - q_central(sd, xi, t)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "where", [["--xi", ",", "--t", "10"], ["--x", ",", "--t", "10"], ["--xi", "0.75", "--t", ","]],
+        ids=["no_rays", "no_stations", "no_times"],
+    )
+    def test_empty_list_is_config_error(self, tmp_path, where):
+        out = tmp_path / "empty"
+        assert main(["asym"] + where + ["--out-dir", str(out)]) == 2
+        assert not (out / "asym.csv").exists()
 
     def test_missing_ray_and_station(self, tmp_path):
         rc = main(["asym", "--t", "10", "--out-dir", str(tmp_path / "m")])
@@ -195,6 +212,23 @@ class TestSimulateAndCompare:
         rc = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["spectral", "simulate"])
+    def test_non_numeric_csv_is_config_error(self, tmp_path, command):
+        initial = tmp_path / "text.csv"
+        initial.write_text("x,re_q0,im_q0\n-4,-1,0\nfoo,0,0\n4,1,0\n")
+        out = str(tmp_path / "o")
+        if command == "spectral":
+            args = ["spectral", "--input-csv", str(initial), "--out-dir", out]
+        else:
+            cfg = {
+                "A": 1.0, "L": 5.0, "N": 50, "dt": 0.002, "t_end": 0.01,
+                "initial": {"kind": "csv", "path": str(initial)},
+            }
+            path = tmp_path / "text.json"
+            path.write_text(json.dumps(cfg))
+            args = ["simulate", "--config", str(path), "--out-dir", out]
+        assert main(args) == 2
+
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_non_finite_initial_samples_are_config_errors(self, tmp_path, command):
         # JSON admits NaN; a soliton phase of NaN gives NaN at every sample.
@@ -261,3 +295,20 @@ class TestSimulateAndCompare:
         path.write_text(json.dumps(cfg))
         rc = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
         assert rc == 4
+
+
+@pytest.mark.parametrize("command", ["spectral", "asym", "compare"])
+def test_tol_flag_is_usage_error(tmp_path, command):
+    # The quadrature tolerance of the ray layer is fixed, not a flag.
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "A": 1.0, "L": 5.0, "N": 50, "dt": 0.002, "t_end": 0.01,
+        "initial": {"kind": "soliton"},
+    }))
+    args = {
+        "spectral": ["spectral"],
+        "asym": ["asym", "--xi", "0.75", "--t", "10"],
+        "compare": ["compare", "--config", str(config), "--predictor", "soliton",
+                    "--window", "1:2"],
+    }[command]
+    assert main(args + ["--tol", "1e-8", "--out-dir", str(tmp_path / "o")]) == 2

@@ -2,6 +2,7 @@
 
 import cmath
 import gc
+import inspect
 import math
 import weakref
 
@@ -26,7 +27,9 @@ from nnlstep import (
     StepProfile,
     WindingOutOfRange,
     central_params,
+    check_assumptions,
     delta_data,
+    jost_spectral,
     modulated_params,
     q_central,
     q_modulated,
@@ -308,6 +311,10 @@ def _walker_F_inf(sd, k1, tol=1e-8):
 class TestRayTable:
     """F_inf through the per-data table: shared Re tails, closed-form Im."""
 
+    # Hypothesis seeds derandomized draws from the test's source, decorators
+    # included, so this test keeps its full settings and with them its draws:
+    # other draws meet rays where the walker oracle itself is up to 2e-7 off
+    # (test_wide_oscillating_cell in test_quadrature.py).
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(
         u=st.floats(0.5, 5.0, exclude_min=True, exclude_max=True),
@@ -373,7 +380,8 @@ class TestRayTable:
         sd = step_spectral(StepProfile(A=1.0, R=0.7))
         modulated_params(sd, 0.9)
         transition_params(sd)
-        assert sd in rh._TABLES
+        assert isinstance(rh._TABLES[sd], rh._RayTable)
+        assert rh._TABLES[sd].dA == transition_dA(sd)
         ref = weakref.ref(sd)
         del sd
         gc.collect()
@@ -406,3 +414,17 @@ class TestRayTable:
     def test_im_F_inf_matches_independent_unwrap(self, unwrapped_im_F_inf):
         sd = step_spectral(StepProfile(A=1.0, R=-1.0))
         assert abs(F_infinity(sd, _k1(0.6, 1.0)).imag - unwrapped_im_F_inf) < 1e-4
+
+
+def test_accuracy_is_fixed_not_a_parameter():
+    # The ray layer meets one fixed quadrature tolerance; none of its entry
+    # points, nor the Jost route or the assumption checker, takes a knob.
+    ray_layer = (
+        delta_data, F_infinity, F_at, F_plus_at_zero, transition_dA, modulated_params,
+        central_params, transition_params, q_modulated, q_central, q_transition,
+        transition_continuous_at_zero,
+    )
+    for fn in ray_layer:
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+    for fn in (jost_spectral, check_assumptions):
+        assert not {"L", "ode_tol", "samples"} & set(inspect.signature(fn).parameters)

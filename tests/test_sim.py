@@ -190,7 +190,7 @@ def _reference_rk4(q: np.ndarray, dx: float, dt: float, A: float, steps: int) ->
 
 
 class TestInPlaceStepper:
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=60)
     @given(
         half_n=st.integers(4, 200),
         phi0=st.floats(-1.0, 1.0),
