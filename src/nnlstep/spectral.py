@@ -8,10 +8,15 @@ supported:
 * closed forms for the pure asymmetric step q0 = -A for x < R, +A for
   x > R (three branches by the sign of R),
 * reflectionless one-soliton data,
-* numerical Jost-function integration for arbitrary step-like data.
+* the Jost solutions of a sampled step-like datum: exact background
+  solutions outside the deviation's support and a 4th-order Magnus
+  transfer matrix across it, on a cell grid built from the sampler (an
+  ODE solver only for the norming constants at k = 0).
 
-The closed forms and the numerical route are interchangeable on pure
-steps, which is the main cross-validation used by the test suite.
+Each source also gives the product a1 a2 as a vector function on the ray
+s < -A, which the quadratures of the asymptotic layer evaluate.  The
+closed forms and the numerical route are interchangeable on pure steps,
+which is the main cross-validation used by the test suite.
 """
 
 from __future__ import annotations
@@ -24,10 +29,10 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .branches import CutSide, background_matrix, f, f_array, h, h_real
 from .errors import (
+    BranchDomainError,
     BranchPointProximity,
     DivisionByZeroSpectral,
     OdeToleranceFailure,
@@ -86,7 +91,9 @@ class SpectralData:
     a1, a2, b are callables (k, side) -> complex with side-consistent
     boundary values on the cut (-A, A).  gamma_plus is the norming
     constant of the k = 0 zero (equal to b_+(0) when b is analytic);
-    a10 is the linear coefficient of a1_+ at k = 0.
+    a10 is the linear coefficient of a1_+ at k = 0.  a1a2_ray is the
+    product a1(s) a2(s) elementwise on real s off the cut; data built by
+    hand may leave it out.
     """
 
     A: float
@@ -97,7 +104,7 @@ class SpectralData:
     gamma_plus: complex
     gamma_minus: complex
     source: Source
-    step_R: float | None = None
+    a1a2_ray: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +162,13 @@ def _step_a1a2_vec(s: np.ndarray, A: float, R: float) -> np.ndarray:
         return p * m / (2.0 * fs * hs) ** 2
 
 
+_FIT_KS = np.array([-0.04, -0.02, -0.01, 0.01, 0.02, 0.04])
+
+
 def _fit_small_k(fn, A: float):
     """Least-squares fit c0 + c1 k + c2 k^2 of fn on the upper cut side
-    near k = 0; returns (c0, c1, residual)."""
-    ks = np.array([-0.04, -0.02, -0.01, 0.01, 0.02, 0.04]) * A
+    at the points _FIT_KS * A; returns (c0, c1, residual)."""
+    ks = _FIT_KS * A
     vals = np.array([fn(k) for k in ks], dtype=complex)
     basis = np.column_stack([np.ones_like(ks), ks, ks**2]).astype(complex)
     coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
@@ -196,7 +206,7 @@ def step_spectral(profile: StepProfile) -> SpectralData:
         gamma_plus=gamma,
         gamma_minus=gamma,
         source=Source.CLOSED_FORM_STEP,
-        step_R=R,
+        a1a2_ray=lambda s: _step_a1a2_vec(s, A, R),
     )
 
 
@@ -225,6 +235,7 @@ def soliton_spectral(A: float, phi0: float) -> SpectralData:
         gamma_plus=gamma,
         gamma_minus=gamma,
         source=Source.REFLECTIONLESS_SOLITON,
+        a1a2_ray=lambda s: np.ones(np.shape(s), dtype=complex),
     )
 
 
@@ -232,120 +243,277 @@ def soliton_spectral(A: float, phi0: float) -> SpectralData:
 # numerical Jost route
 # ---------------------------------------------------------------------------
 
-_BRANCH_GUARD = 10.0 * math.sqrt(np.finfo(float).eps)
-_ODE_TOL = 1e-10
+_ODE_TOL = 1e-12
+# A cell of the transfer grid is bisected while its width times the
+# midpoint misfit of the cubic through its edge and Gauss samples exceeds
+# _CELL_TOL, the error budget of one cell.  First cells, and cells merged
+# afterwards, are at most _CELL_WIDTH wide, so that no feature of the
+# datum falls between samples.
+_CELL_TOL = 1e-14
+_CELL_WIDTH = 0.25
+_GAUSS = math.sqrt(3.0) / 6.0  # Gauss points at the midpoint -+ _GAUSS * width
+_NODES = np.array([-1.0, -2.0 * _GAUSS, 2.0 * _GAUSS, 1.0])  # edges and Gauss points
+_CHUNK = 1 << 14  # k values times cells per vectorised pass
 
 
-def _jost_at(data: InitialData, A: float, k: complex, L: float, ode_tol: float, side: CutSide):
-    """Integrate the Jost columns to x = 0 and return the four columns
-    (Psi1_col1, Psi1_col2, Psi2_col1, Psi2_col2) there.
+def _sample(sampler, x: np.ndarray) -> np.ndarray:
+    """Rows q(x) and q(-x), one sampler call per point."""
+    xs = np.concatenate([x, -x])
+    return np.array([complex(sampler(float(t))) for t in xs], dtype=complex).reshape(2, -1)
 
-    The oscillatory factor e^{±ixf} is removed analytically: the first
-    columns v = Psi^{[1]} e^{ixf} solve v' = (-ik s3 + U(x) + if) v and the
-    second columns u = Psi^{[2]} e^{-ixf} solve the same system with -if,
-    so the integrator only tracks slowly varying profiles.
+
+def _lagrange(t: np.ndarray) -> np.ndarray:
+    """Cubic Lagrange basis on _NODES at t (in half widths from the midpoint),
+    shape (4, len(t))."""
+    return np.array([
+        np.prod([(t - _NODES[m]) / (_NODES[j] - _NODES[m]) for m in range(4) if m != j], axis=0)
+        for j in range(4)
+    ])
+
+
+_MID = _lagrange(np.zeros(1))[:, 0]  # the cubic's value at the midpoint
+
+
+def _half_cells(data: InitialData):
+    """Cells of [0, w] with q(x) and q(-x) at their two Gauss points.
+
+    Bisection ends a jump in a cell of width about _CELL_TOL / |jump| and a
+    kink in one of width about sqrt(_CELL_TOL / |slope jump|), each inside
+    a chain of ever smaller cells; _coarsen merges the chains back.  Returns
+    the widths and the samples (2, 2, n) = (x / -x, Gauss point, cell) of
+    the cells in the order of x.
     """
-    if abs(k - A) < _BRANCH_GUARD or abs(k + A) < _BRANCH_GUARD:
-        raise BranchPointProximity(f"k={k} within {_BRANCH_GUARD} of a branch point")
-    fk = f(k, A, side)
+    w = data.decay_width
+    edges = np.linspace(0.0, w, math.ceil(w / _CELL_WIDTH) + 1)
+    qe = _sample(data.sampler, edges)
+    a, b, qa, qb = edges[:-1], edges[1:], qe[:, :-1], qe[:, 1:]
+    floor = 8.0 * np.finfo(float).eps * w
+    done = []
+    while a.size:
+        h = b - a
+        c = a + 0.5 * h
+        x = np.concatenate([c - _GAUSS * h, c + _GAUSS * h, c])
+        q1, q2, qc = _sample(data.sampler, x).reshape(2, 3, -1).transpose(1, 0, 2)
+        fit = np.tensordot(np.stack([qa, q1, q2, qb]), _MID, axes=(0, 0))
+        split = (h * np.max(np.abs(qc - fit), axis=0) > _CELL_TOL) & (h > floor)
+        keep = ~split
+        qg = np.stack([q1, q2], axis=1)
+        done.append((a[keep], b[keep], qa[:, keep], qb[:, keep], qg[:, :, keep]))
+        a, b = np.concatenate([a[split], c[split]]), np.concatenate([c[split], b[split]])
+        qa = np.concatenate([qa[:, split], qc[:, split]], axis=1)
+        qb = np.concatenate([qc[:, split], qb[:, split]], axis=1)
+    lo, hi, qa, qb, qg = (np.concatenate(part, axis=-1) for part in zip(*done))
+    order = np.argsort(lo)
+    return _coarsen(data.sampler, lo[order], hi[order], qa[:, order], qb[:, order], qg[..., order])
 
-    def rhs(sign_f):
-        def fun(x, y):
-            q = complex(data.sampler(x))
-            qm = complex(data.sampler(-x))
-            y0, y1 = y[0], y[1]
-            d0 = (-1j * k + sign_f * 1j * fk) * y0 + q * y1
-            d1 = -np.conj(qm) * y0 + (1j * k + sign_f * 1j * fk) * y1
-            return [d0, d1]
 
-        return fun
+def _coarsen(sampler, lo, hi, qa, qb, qg):
+    """Merge runs of adjacent cells, no wider than _CELL_WIDTH, while the
+    cubic through the run's edge and Gauss samples meets the bisection's
+    rule at every Gauss point of the cells it replaces."""
+    gx = (0.5 * (lo + hi))[:, None] + np.outer(hi - lo, [-_GAUSS, _GAUSS])
+    hs, qgs = [], []
+    i = 0
+    while i < lo.size:
+        j, q = i, qg[:, :, i]
+        while j + 1 < lo.size and hi[j + 1] - lo[i] <= _CELL_WIDTH:
+            h = hi[j + 1] - lo[i]
+            c = lo[i] + 0.5 * h
+            qn = _sample(sampler, np.array([c - _GAUSS * h, c + _GAUSS * h]))
+            fit = np.column_stack([qa[:, i], qn, qb[:, j + 1]]) @ _lagrange(
+                (gx[i:j + 2].ravel() - c) / (0.5 * h)
+            )
+            fine = qg[:, :, i:j + 2].transpose(0, 2, 1).reshape(2, -1)
+            if h * np.max(np.abs(fit - fine)) > _CELL_TOL:
+                break
+            j, q = j + 1, qn
+        hs.append(hi[j] - lo[i])
+        qgs.append(q)
+        i = j + 1
+    return np.array(hs), np.stack(qgs, axis=-1)
 
-    E1 = background_matrix(1, k, A, side)
-    E2 = background_matrix(2, k, A, side)
 
-    def integrate(y0, x0, x1, sign_f):
+def _series(z: np.ndarray, ratios) -> np.ndarray:
+    """1 + z r0 (1 + z r1 (1 + ...)) by Horner's rule."""
+    acc = z * ratios[-1]
+    acc += 1.0
+    for r in ratios[-2::-1]:
+        acc *= z
+        acc *= r
+        acc += 1.0
+    return acc
+
+
+# cosh(om) = sum z^n / (2n)! and sinh(om)/om = sum z^n / (2n+1)!, z = om^2,
+# as ratios of successive terms; through z^5 the remainder is below 1e-17
+# relative for |z| <= _SERIES_Z.
+_COSH = tuple(1.0 / ((2 * n + 1) * (2 * n + 2)) for n in range(5))
+_SINHC = tuple(1.0 / ((2 * n + 2) * (2 * n + 3)) for n in range(5))
+_SERIES_Z = 0.05
+
+
+class _Transfer:
+    """4th-order Magnus transfer matrix T(w, -w) of the Jost system
+    Psi' = (-ik s3 + U(x)) Psi, U = [[0, q(x)], [-conj q(-x), 0]].
+
+    The cell grid is symmetric on [-w, w] with an edge at 0, and U is
+    sampled once at the two Gauss points x1 < x2 of every cell.  Each
+    cell contributes exp(Omega) with
+    Omega = h/2 (A(x1) + A(x2)) + sqrt(3)/12 h^2 [A(x2), A(x1)].
+    """
+
+    def __init__(self, data: InitialData):
+        self.w = data.decay_width
+        h, qg = _half_cells(data)
+        # Left cells mirror the right ones: Gauss points -x2 < -x1.
+        p1 = np.concatenate([qg[1, 1, ::-1], qg[0, 0]])
+        p2 = np.concatenate([qg[1, 0, ::-1], qg[0, 1]])
+        r1 = -np.conj(np.concatenate([qg[0, 1, ::-1], qg[1, 0]]))
+        r2 = -np.conj(np.concatenate([qg[0, 0, ::-1], qg[1, 1]]))
+        h = np.concatenate([h[::-1], h])
+        c = math.sqrt(3.0) / 6.0 * h
+        # Omega = [[d - ikh, bs - ikh bd], [gs + ikh gd, ikh - d]].
+        self.ih = 1j * h
+        self.d = 0.5 * c * h * (p2 * r1 - p1 * r2)
+        self.bs, self.bd = 0.5 * h * (p1 + p2), c * (p1 - p2)
+        self.gs, self.gd = 0.5 * h * (r1 + r2), c * (r1 - r2)
+
+    def matrix(self, k: np.ndarray):
+        """T(w, -w) at each k as its entries (t11, t12, t21, t22)."""
+        chunks = np.array_split(k, max(1, math.ceil(k.size * self.ih.size / _CHUNK)))
+        return tuple(np.concatenate(t) for t in zip(*map(self._product, chunks)))
+
+    def _product(self, k: np.ndarray):
+        ikh = k[:, None] * self.ih
+        alpha = self.d - ikh
+        beta = self.bs - ikh * self.bd
+        gamma = self.gs + ikh * self.gd
+        # exp(Omega) = cosh(om) I + sinh(om)/om Omega, om^2 = -det Omega,
+        # from the series in om^2 on the small cells most grids are made of.
+        z = alpha * alpha + beta * gamma
+        ch = _series(z, _COSH)
+        shc = _series(z, _SINHC)
+        big = np.nonzero(z.real**2 + z.imag**2 > _SERIES_Z**2)
+        if big[0].size:
+            om = np.sqrt(z[big])
+            ep = np.exp(om)
+            em = 1.0 / ep
+            ch[big] = 0.5 * (ep + em)
+            shc[big] = 0.5 * (ep - em) / om
+        sa = shc * alpha
+        m = (ch + sa, shc * beta, shc * gamma, ch - sa)
+        # Ordered product M_{n-1} ... M_0 by pairwise reduction.
+        while m[0].shape[1] > 1:
+            n = m[0].shape[1] // 2 * 2
+            a11, a12, a21, a22 = (x[:, 0:n:2] for x in m)
+            b11, b12, b21, b22 = (x[:, 1:n:2] for x in m)
+            pairs = (
+                b11 * a11 + b12 * a21, b11 * a12 + b12 * a22,
+                b21 * a11 + b22 * a21, b21 * a12 + b22 * a22,
+            )
+            if n < m[0].shape[1]:
+                pairs = tuple(np.concatenate([p, x[:, n:]], axis=1) for p, x in zip(pairs, m))
+            m = pairs
+        return tuple(x[:, 0] for x in m)
+
+    def abc(self, k: np.ndarray, fk: np.ndarray, wk: np.ndarray):
+        """(a1, a2, b) at k from the Wronskians at x = w, given f(k), w(k).
+
+        Outside [-w, w] the datum is its background, so the Jost columns
+        there are E_j(k) e^{-+ixf}; only Psi_1 crosses the grid.
+        """
+        t11, t12, t21, t22 = self.matrix(k)
+        e1 = 0.5 * (wk + 1.0 / wk)
+        e2 = 0.5j * (wk - 1.0 / wk)
+        x1, y1 = t11 * e1 + t12 * e2, t21 * e1 + t22 * e2  # T E1[:, 0]
+        x2, y2 = t12 * e1 - t11 * e2, t22 * e1 - t21 * e2  # T E1[:, 1]
+        ph = np.exp(2j * self.w * fk)
+        return ph * (x1 * e1 - y1 * e2), (e1 * y2 + e2 * x2) / ph, e1 * y1 + e2 * x1
+
+
+def _norming_wronskian(data: InitialData, A: float, side: CutSide) -> complex:
+    """det(Psi2_col1, Psi1_col1) at k = 0 on one side of the cut, by DOP853.
+
+    The two columns are integrated to x = 0 from x = -+L_gamma, just past
+    the support of the deviation, where the amplification e^{2 A L_gamma}
+    of the k = 0 dichotomy stays benign.  The factor e^{-ixf} is removed
+    analytically: v = Psi_col1 e^{ixf} solves v' = (-ik s3 + U(x) + if) v.
+    """
+    L_gamma = data.decay_width + 2.0 / A
+    fk = f(0.0, A, side)
+
+    def fun(x, y):
+        q = complex(data.sampler(x))
+        qm = complex(data.sampler(-x))
+        return [1j * fk * y[0] + q * y[1], -np.conj(qm) * y[0] + 1j * fk * y[1]]
+
+    def integrate(j, x0):
         sol = solve_ivp(
-            rhs(sign_f),
-            (x0, x1),
-            np.asarray(y0, dtype=complex),
-            method="DOP853",
-            rtol=ode_tol,
-            atol=ode_tol,
+            fun, (x0, 0.0), background_matrix(j, 0.0, A, side)[:, 0],
+            method="DOP853", rtol=_ODE_TOL, atol=_ODE_TOL,
         )
         if not sol.success:
-            raise OdeToleranceFailure(
-                f"Jost integration failed at k={k}: {sol.message}"
-            )
+            raise OdeToleranceFailure(f"Jost integration failed at k=0: {sol.message}")
         return sol.y[:, -1]
 
-    v1 = integrate(E1[:, 0], -L, 0.0, +1)
-    u1 = integrate(E1[:, 1], -L, 0.0, -1)
-    v2 = integrate(E2[:, 0], L, 0.0, +1)
-    u2 = integrate(E2[:, 1], L, 0.0, -1)
-    return v1, u1, v2, u2
+    v1 = integrate(1, -L_gamma)
+    v2 = integrate(2, L_gamma)
+    return complex(v2[0] * v1[1] - v2[1] * v1[0])
 
 
-def _det2(c1, c2) -> complex:
-    return complex(c1[0] * c2[1] - c1[1] * c2[0])
+def _jost_fw(k: np.ndarray, A: float, side: CutSide):
+    """f(k) and w(k) elementwise for the Jost route, with the domain checks
+    of ``branches`` except that only k = +-A itself is refused: the
+    background eigenvectors grow like |k -+ A|^(-1/4) but stay finite one
+    rounding step away, where the ray quadratures place nodes."""
+    if np.any((k == A) | (k == -A)):
+        raise BranchPointProximity(f"k at a branch point +-{A}")
+    on_cut = (k.imag == 0.0) & (np.abs(k.real) < A)
+    if side is CutSide.OFF:
+        if np.any(on_cut):
+            raise BranchDomainError("the cut (-A, A) requires side=ABOVE or BELOW")
+        return f_array(k, A), ((k - A) / (k + A)) ** 0.25
+    if not np.all(on_cut):
+        raise BranchDomainError(f"side={side.value} only valid for real k in (-A, A)")
+    sign = 1.0 if side is CutSide.ABOVE else -1.0
+    x = k.real
+    return sign * 1j * np.sqrt(A * A - x * x), ((A - x) / (A + x)) ** 0.25 * np.exp(
+        sign * 0.25j * np.pi
+    )
 
 
 def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
-    """Scattering data by direct integration of the Jost systems.
+    """Scattering data from the Jost solutions of a step-like datum.
 
-    The Jost columns are integrated to x = 0 from x = -L and x = L, with
-    L = decay_width + 30/A.
-    Real off-cut samples are precomputed and bridged by cubic splines;
-    any other evaluation point falls back to a fresh (cached) integration.
+    Outside [-w, w], w = decay_width, the datum is its background, so the
+    Jost columns there are the background solutions E_j(k) e^{-+ixf}; the
+    left ones cross [-w, w] by the Magnus transfer matrix of _Transfer,
+    and a1, a2, b are Wronskians at x = w.  The samples and the small-k
+    fit points are evaluated in one batch per side and cached; any other k
+    costs one more transfer product, and the ray s < -A gets a vector form.
     """
-    L = data.decay_width + 30.0 / A
+    tr = _Transfer(data)
+
+    def evaluate(k, side: CutSide):
+        k = np.asarray(k, dtype=complex)
+        return tr.abc(k, *_jost_fw(k, A, side))
 
     cache: dict[tuple[complex, CutSide], tuple[complex, complex, complex]] = {}
 
-    def compute(k: complex, side: CutSide):
-        key = (complex(k), side)
-        if key not in cache:
-            v1, u1, v2, u2 = _jost_at(data, A, k, L, _ODE_TOL, side)
-            cache[key] = (_det2(v1, u2), _det2(v2, u1), _det2(v2, v1))
-        return cache[key]
+    def fill(ks, side: CutSide):
+        for k, *abc in zip(ks, *evaluate(ks, side)):
+            cache[(complex(k), side)] = tuple(complex(v) for v in abc)
 
-    # Precompute the requested samples and build splines on real off-cut
-    # segments dense enough to interpolate (>= 4 points).
     k_samples = [complex(k) for k in k_samples]
-    splines = []
-    real_ks = sorted(
-        {k.real for k in k_samples if k.imag == 0.0 and abs(k.real) > A}
-    )
-    for seg in (
-        [k for k in real_ks if k < -A],
-        [k for k in real_ks if k > A],
-    ):
-        if len(seg) >= 4:
-            ks = np.array(seg)
-            vals = np.array([compute(k, CutSide.OFF) for k in ks], dtype=complex)
-            splines.append(
-                (
-                    ks[0],
-                    ks[-1],
-                    CubicSpline(ks, vals[:, 0]),
-                    CubicSpline(ks, vals[:, 1]),
-                    CubicSpline(ks, vals[:, 2]),
-                )
-            )
-    for k in k_samples:
-        side = CutSide.OFF
-        if k.imag == 0.0 and abs(k.real) < A:
-            side = CutSide.ABOVE
-        compute(k, side)
+    on_cut = [k for k in k_samples if k.imag == 0.0 and abs(k.real) < A]
+    fill([k for k in k_samples if k not in on_cut], CutSide.OFF)
+    fill(on_cut + [complex(k) for k in _FIT_KS * A], CutSide.ABOVE)
 
     def lookup(k, side, idx):
-        k = complex(k)
-        if (k, side) in cache:
-            return cache[(k, side)][idx]
-        if side is CutSide.OFF and k.imag == 0.0:
-            for lo, hi, *sp in splines:
-                if lo <= k.real <= hi:
-                    return complex(sp[idx](k.real))
-        return compute(k, side)[idx]
+        key = (complex(k), side)
+        if key not in cache:
+            fill([key[0]], side)
+        return cache[key][idx]
 
     def a1(k, side=CutSide.OFF):
         return lookup(k, side, 0)
@@ -356,29 +524,28 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     def b(k, side=CutSide.OFF):
         return lookup(k, side, 2)
 
+    def a1a2_ray(s):
+        a1s, a2s, _ = evaluate(s, CutSide.OFF)
+        return a1s * a2s
+
     _, a10, _ = _fit_small_k(lambda k: a1(k, CutSide.ABOVE), A)
 
     # Norming constants from the k = 0 boundary values: for exponentially
     # decaying deviations b extends analytically and gamma_+ = b_+(0),
     # gamma_- = -conj(b_-(0)). At k = 0 the Jost systems have a real
-    # exponential dichotomy with rate 2A, so truncation/rounding noise is
-    # amplified by e^{2 A L_gamma}; integrate only just past the support
-    # of the deviation to keep that factor benign.
-    L_gamma = data.decay_width + 2.0 / A
-    v1, u1, v2, u2 = _jost_at(data, A, 0.0, L_gamma, _ODE_TOL, CutSide.ABOVE)
-    gamma_plus = _det2(v2, v1)
-    v1m, u1m, v2m, u2m = _jost_at(data, A, 0.0, L_gamma, _ODE_TOL, CutSide.BELOW)
-    gamma_minus = -np.conj(_det2(v2m, v1m))
-
+    # exponential dichotomy with rate 2A, and a transfer product across
+    # [-w, w] loses the subdominant coefficient, so these two come from
+    # an ODE solver.
     return SpectralData(
         A=A,
         a1=a1,
         a2=a2,
         b=b,
         a10=a10,
-        gamma_plus=gamma_plus,
-        gamma_minus=gamma_minus,
+        gamma_plus=_norming_wronskian(data, A, CutSide.ABOVE),
+        gamma_minus=-np.conj(_norming_wronskian(data, A, CutSide.BELOW)),
         source=Source.NUMERIC_JOST,
+        a1a2_ray=a1a2_ray,
     )
 
 
@@ -428,22 +595,15 @@ def one_plus_r1r2_ray(sd: SpectralData) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized 1 + r1(s) r2(s) on real s off the cut.
 
     Uses the determinant relation a1 a2 + b(s) conj(b(-s)) = 1, which turns
-    the product into 1 / (a1 a2) and avoids evaluating b.
+    the product into 1 / (a1 a2) and avoids evaluating b.  Data without
+    a1a2_ray are evaluated point by point.
     """
-    if sd.source is Source.REFLECTIONLESS_SOLITON:
-        return lambda s: np.ones(np.shape(s), dtype=complex)
-    if sd.source is Source.CLOSED_FORM_STEP and sd.step_R is not None:
-        A, R = sd.A, sd.step_R
-        return lambda s: 1.0 / _step_a1a2_vec(np.asarray(s, dtype=float), A, R)
-
-    def generic(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.array(
-            [1.0 / (sd.a1(x, CutSide.OFF) * sd.a2(x, CutSide.OFF)) for x in s],
-            dtype=complex,
+    a1a2 = sd.a1a2_ray
+    if a1a2 is None:
+        a1a2 = np.vectorize(
+            lambda s: sd.a1(s, CutSide.OFF) * sd.a2(s, CutSide.OFF), otypes=[complex]
         )
-
-    return generic
+    return lambda s: 1.0 / a1a2(np.asarray(s, dtype=float))
 
 
 def endpoint_zero(sd: SpectralData) -> tuple[bool, complex]:

@@ -18,6 +18,7 @@ from nnlstep import (
     F_at,
     F_infinity,
     F_plus_at_zero,
+    InitialData,
     RegionMismatch,
     RegionTag,
     SingularStation,
@@ -65,8 +66,8 @@ class TestDelta:
         assert math.isnan(dd.nu.real)
 
     def test_modulated_ray_never_samples_near_minus_A(self, step_sd, monkeypatch):
-        # The endpoint-zero probe belongs to k1 = -A alone; for Jost data a
-        # sample next to -A trips the branch-point guard on every ray.
+        # The endpoint-zero probe belongs to k1 = -A alone; a modulated ray
+        # has no use for samples next to -A.
         import nnlstep.rh_asymptotics as rh
         import nnlstep.spectral as spectral
 
@@ -195,6 +196,17 @@ class TestF:
     def test_transition_dA_golden(self, step_sd):
         dA = transition_dA(step_sd)
         assert abs(dA - (-2j)) < 1e-6
+
+    @pytest.mark.parametrize("R", [0.0, 0.7])
+    def test_sampled_step_reaches_ray_layer(self, R):
+        # Jost data take the same ray path as the closed form, down to the
+        # endpoint probe at -A(1 + 1e-8) and the nodes next to k1 = -A.
+        prof = StepProfile(A=1.0, R=R)
+        sd = step_spectral(prof)
+        nd = jost_spectral(InitialData(prof.sample, decay_width=1.5), 1.0, [])
+        for xi in (0.75, 2.0):
+            assert abs(modulated_params(nd, xi).F_inf - modulated_params(sd, xi).F_inf) < 1e-12
+        assert abs(central_params(nd, 0.2).F_inf - central_params(sd, 0.2).F_inf) < 1e-12
 
     def test_transition_dA_soliton(self):
         sd = soliton_spectral(1.5, 0.4)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from nnlstep import (
     BranchPointProximity,
@@ -23,8 +24,9 @@ from nnlstep import (
     soliton_spectral,
     step_spectral,
 )
+from nnlstep.branches import background_matrix
 from nnlstep.quadrature import IntegrandSpec, running_winding
-from nnlstep.spectral import _det2, _jost_at, one_plus_r1r2, one_plus_r1r2_ray
+from nnlstep.spectral import _FIT_KS, _Transfer, one_plus_r1r2, one_plus_r1r2_ray
 
 
 def _det_relation(sd, k):
@@ -198,17 +200,67 @@ class TestJostRoute:
     def test_spline_interpolation_between_samples(self, jost_step, step_sd):
         nd, _ = jost_step
         k = 3.37  # not a sample point
-        # Accuracy between samples is set by the cubic spline over the
-        # coarse sample grid, not by the ODE tolerance.
+        # A point between samples is one more transfer product, as accurate
+        # as the samples themselves; the bound is the one a cubic spline
+        # over the coarse sample grid used to meet here.
         assert abs(nd.a1(k, CutSide.OFF) - step_sd.a1(k, CutSide.OFF)) < 2e-3
 
     def test_jost_determinants_unimodular(self):
+        # Every cell factor exp(Omega) has determinant e^{tr Omega} = 1.
         prof = StepProfile(A=1.0, R=0.5)
         data = InitialData(sampler=prof.sample, decay_width=1.0)
-        for k in (2.3, -1.7, 1.4 + 0.8j):
-            v1, u1, v2, u2 = _jost_at(data, 1.0, k, 5.0, 1e-11, CutSide.OFF)
-            assert abs(_det2(v1, u1) - 1.0) < 1e-8
-            assert abs(_det2(v2, u2) - 1.0) < 1e-8
+        t11, t12, t21, t22 = _Transfer(data).matrix(np.array([2.3, -1.7, 1.4 + 0.8j]))
+        assert np.max(np.abs(t11 * t22 - t12 * t21 - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("R", [0.33, -0.123456, 0.7, -1.0])
+    def test_step_off_the_cell_grid(self, R):
+        # No cell edge of the bisection sits on these jumps.
+        prof = StepProfile(A=1.0, R=R)
+        sd = step_spectral(prof)
+        ks = np.array([1.1, 2.7, 6.3, 10.0])
+        ks = np.concatenate([ks, -ks])
+        nd = jost_spectral(InitialData(prof.sample, decay_width=1.5), 1.0, ks)
+        for k in ks:
+            for fn_n, fn_c in ((nd.a1, sd.a1), (nd.a2, sd.a2), (nd.b, sd.b)):
+                assert abs(fn_n(k, CutSide.OFF) - fn_c(k, CutSide.OFF)) < 1e-10
+        for k in _FIT_KS:
+            assert abs(nd.a1(k, CutSide.ABOVE) - sd.a1(k, CutSide.ABOVE)) < 1e-10
+        assert abs(nd.gamma_plus - sd.gamma_plus) < 1e-10
+        assert abs(nd.gamma_minus - sd.gamma_minus) < 1e-10
+
+    def test_smooth_data_match_dop853(self):
+        # The commutator term of Omega only shows on data that vary inside
+        # a cell; DOP853 at 1e-12 on the full Jost system is the reference.
+        A, L = 1.0, 20.0
+
+        def sampler(x):
+            return np.tanh(2.0 * x) + 0.1j / np.cosh(3.0 * x)
+
+        def reference(k):
+            fk = f(k, A)
+
+            def rhs(x, y):
+                q, r = complex(sampler(x)), -np.conj(complex(sampler(-x)))
+                y = y.reshape(2, 2)
+                return np.array([-1j * k * y[0] + q * y[1], r * y[0] + 1j * k * y[1]]).ravel()
+
+            def columns(E, x0):
+                y0 = E * np.exp([-1j * x0 * fk, 1j * x0 * fk])
+                sol = solve_ivp(rhs, (x0, 0.0), y0.ravel(), method="DOP853", rtol=1e-12, atol=1e-12)
+                return sol.y[:, -1].reshape(2, 2)
+
+            psi1 = columns(background_matrix(1, k, A), -L)
+            psi2 = columns(background_matrix(2, k, A), L)
+            det = np.linalg.det
+            return (det(np.column_stack([psi1[:, 0], psi2[:, 1]])),
+                    det(np.column_stack([psi2[:, 0], psi1[:, 1]])),
+                    det(np.column_stack([psi2[:, 0], psi1[:, 0]])))
+
+        ks = [-10.0, -4.1, -1.3, 1.3, 4.1, 10.0]
+        nd = jost_spectral(InitialData(sampler, decay_width=14.0), A, ks)
+        for k in ks:
+            got = (nd.a1(k, CutSide.OFF), nd.a2(k, CutSide.OFF), nd.b(k, CutSide.OFF))
+            assert max(abs(g - r) for g, r in zip(got, reference(k))) < 1e-9
 
     def test_conjugate_symmetry(self):
         prof = StepProfile(A=1.0, R=0.5)
