@@ -23,7 +23,7 @@ import enum
 
 import numpy as np
 
-from .errors import BranchDomainError, BranchPointError
+from .errors import BranchDomainError, BranchPointError, BranchPointProximity
 
 # Relative distance below which k counts as "exactly at" a branch point.
 _BRANCH_POINT_RTOL = 1e-13
@@ -78,27 +78,57 @@ def h_real(x, A: float):
     return np.sign(x) * np.sqrt(x * x + A * A)
 
 
+def h_array(k, A: float):
+    """h elementwise for complex k.  On the cut [-iA, iA] it takes the root
+    sqrt(k^2 + A^2), which suits functions that are even in h; only k
+    exactly at +-iA is refused."""
+    k = np.asarray(k, dtype=complex)
+    if np.any((k == 1j * A) | (k == -1j * A)):
+        raise BranchPointError(f"h(k) requested at a branch point +-{A}i")
+    cut = (k.real == 0.0) & (np.abs(k.imag) < A)
+    axis = k.imag == 0.0
+    # z sqrt(1 + A^2/z^2): the principal-sqrt cut maps exactly onto
+    # [-iA, iA]; z stands in for k where the other two forms apply.
+    z = np.where(cut | axis, 1.0, k)
+    general = z * np.sqrt(1.0 + (A * A) / (z * z))
+    return np.where(cut, np.sqrt(k * k + A * A), np.where(axis, h_real(k.real, A), general))
+
+
+def fw_array(k, A: float, side: CutSide):
+    """f(k) and w(k) elementwise, for complex k all on the cut with side
+    ABOVE or BELOW, or all off it with side OFF.  Only k exactly at +-A is
+    refused: the background eigenvectors grow like |k -+ A|^(-1/4) but
+    stay finite one rounding step away, where the ray quadratures place
+    nodes."""
+    k = np.asarray(k, dtype=complex)
+    if np.any((k == A) | (k == -A)):
+        raise BranchPointProximity(f"k at a branch point +-{A}")
+    on_cut = (k.imag == 0.0) & (np.abs(k.real) < A)
+    if side is CutSide.OFF:
+        if np.any(on_cut):
+            raise BranchDomainError("the cut (-A, A) requires side=ABOVE or BELOW")
+        # The cross-ratio avoids the negative real axis for k off [-A, A],
+        # so the principal fourth root already carries the right branch.
+        return f_array(k, A), ((k - A) / (k + A)) ** 0.25
+    if not np.all(on_cut):
+        raise BranchDomainError(f"side={side.value} only valid for real k in (-A, A)")
+    sign = 1.0 if side is CutSide.ABOVE else -1.0
+    x = k.real
+    return sign * 1j * np.sqrt(A * A - x * x), ((A - x) / (A + x)) ** 0.25 * np.exp(
+        sign * 0.25j * np.pi
+    )
+
+
 def f(k: complex, A: float, side: CutSide = CutSide.OFF) -> complex:
     """Square root (k^2 - A^2)^(1/2) with f(k) ~ k at infinity."""
     A = _check_amplitude(A)
-    k = _validate_horizontal(k, A, side, "f")
-    if side is CutSide.OFF:
-        return complex(f_array(k, A))
-    root = np.sqrt(A * A - k.real * k.real)
-    return 1j * root if side is CutSide.ABOVE else -1j * root
+    return complex(fw_array(_validate_horizontal(k, A, side, "f"), A, side)[0])
 
 
 def w(k: complex, A: float, side: CutSide = CutSide.OFF) -> complex:
     """Fourth root ((k-A)/(k+A))^(1/4) with w(k) ~ 1 at infinity."""
     A = _check_amplitude(A)
-    k = _validate_horizontal(k, A, side, "w")
-    if side is CutSide.OFF:
-        # The cross-ratio avoids the negative real axis for k off [-A, A],
-        # so the principal fourth root already carries the right branch.
-        return complex(((k - A) / (k + A)) ** 0.25)
-    mag = ((A - k.real) / (A + k.real)) ** 0.25
-    phase = np.exp(1j * np.pi / 4) if side is CutSide.ABOVE else np.exp(-1j * np.pi / 4)
-    return mag * phase
+    return complex(fw_array(_validate_horizontal(k, A, side, "w"), A, side)[1])
 
 
 def h(k: complex, A: float) -> complex:
@@ -113,10 +143,7 @@ def h(k: complex, A: float) -> complex:
         raise BranchPointError(f"h(k) requested at branch point, k={k}, A={A}")
     if k.real == 0.0 and abs(k.imag) < A:
         raise BranchDomainError(f"h(k) undefined on the cut [-iA, iA], k={k}")
-    if k.imag == 0.0:
-        return complex(h_real(k.real, A))
-    # k*sqrt(1 + A^2/k^2): the principal-sqrt cut maps exactly onto [-iA, iA].
-    return complex(k * np.sqrt(1.0 + (A * A) / (k * k)))
+    return complex(h_array(k, A))
 
 
 def background_matrix(j: int, k: complex, A: float, side: CutSide = CutSide.OFF) -> np.ndarray:

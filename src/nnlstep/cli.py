@@ -180,12 +180,13 @@ def _spectral_data(q0, A: float, ks=None):
 def _spectral_source(args):
     """Build SpectralData from the source flags shared by subcommands."""
     if args.soliton:
-        return soliton_spectral(args.A, args.phi0)
-    if args.input_csv is None:
-        return step_spectral(StepProfile(A=args.A, R=args.step_R))
-    data = _load_initial_csv(args.input_csv, args.A)
+        q0 = SolitonSpec(A=args.A, phi0=args.phi0)
+    elif args.input_csv is None:
+        q0 = StepProfile(A=args.A, R=args.step_R)
+    else:
+        q0 = _load_initial_csv(args.input_csv, args.A)
     k_grid = getattr(args, "k_grid", None)  # only `spectral` has --k-grid
-    return _spectral_data(data, args.A, _parse_grid(k_grid) if k_grid else None)
+    return _spectral_data(q0, args.A, _parse_grid(k_grid) if k_grid else None)
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:

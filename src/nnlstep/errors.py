@@ -13,8 +13,8 @@ class BranchDomainError(NnlstepError):
     """Evaluation requested on a branch cut without specifying a side."""
 
 
-class BranchPointProximity(NnlstepError):
-    """Spectral parameter too close to ±A for a stable Jost integration."""
+class BranchPointProximity(BranchPointError):
+    """Vector evaluation of scattering data requested exactly at ±A."""
 
 
 class OdeToleranceFailure(NnlstepError):

@@ -35,6 +35,8 @@ class SolitonSpec:
     def __post_init__(self):
         if not self.A > 0:
             raise ValueError(f"amplitude must be positive, got {self.A}")
+        if not math.isfinite(self.phi0):
+            raise ValueError(f"soliton phase must be finite, got {self.phi0}")
 
 
 @dataclass(frozen=True)

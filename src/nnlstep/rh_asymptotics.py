@@ -42,7 +42,7 @@ from .quadrature import (
     semiinfinite_integral,
     tanh_sinh,
 )
-from .spectral import RAY_SAMPLES, SpectralData, Source, endpoint_zero, one_plus_r1r2_ray, ray_decay
+from .spectral import RAY_SAMPLES, SpectralData, endpoint_zero, one_plus_r1r2_ray, ray_decay
 
 _STATION_GUARD = 1e-8
 # Ray integrals meet DEFAULT_TOL; each summed piece of Re F_inf a tenth of it.
@@ -59,8 +59,8 @@ class DeltaData:
     """delta(k, k1) together with its endpoint exponent data.
 
     ``nu`` is nan+nan*i when 1 + r1 r2 vanishes at k1 = -A (there the
-    endpoint behavior is algebraic with exponent driven by the regularized
-    winding instead of nu).
+    endpoint behavior is algebraic with exponent driven by the winding
+    Delta(k1) instead of nu).
     """
 
     A: float
@@ -111,8 +111,9 @@ def delta_data(sd: SpectralData, k1: float) -> DeltaData:
     The logarithm branch is unwound continuously from the normalized end
     at -inf.  For a modulated endpoint (k1 < -A) the winding must stay in
     (-pi, pi) or WindingOutOfRange is raised; at k1 = -A no winding bound
-    is required, and a simple zero of 1 + r1 r2 at -A switches the winding
-    to the regularized factor ((z + A)/z)(1 + r1 r2).
+    is required, and a simple zero of 1 + r1 r2 at -A leaves nu undefined.
+    Delta(k1) is then also the winding of the regularized factor
+    ((z + A)/z)(1 + r1 r2), since (z + A)/z > 0 on z < -A.
     """
     A = sd.A
     k1 = float(k1)
@@ -124,19 +125,10 @@ def delta_data(sd: SpectralData, k1: float) -> DeltaData:
     zero_at_minus_A = abs(k1 + A) <= 1e-12 * A and endpoint_zero(sd)[0]
 
     log_fn, grid, cum = _unwound_log(gvec, k1, decay)
-
+    Delta_k1 = float(cum[-1])
     if zero_at_minus_A:
-        # Regularized winding: (z + A)/z tends to 1 at -inf and cancels the
-        # simple zero at -A, so its total argument increment is finite.
-        def reg_vec(s):
-            s = np.asarray(s, dtype=float)
-            return ((s + A) / s) * gvec(s)
-
-        _, _, reg_cum = _unwound_log(reg_vec, k1, decay)
-        Delta_k1 = float(reg_cum[-1])
         nu = complex(float("nan"), float("nan"))
     else:
-        Delta_k1 = float(cum[-1])
         g_k1 = complex(gvec(np.array([k1]))[0])
         nu = -math.log(abs(g_k1)) / (2 * np.pi) - 1j * Delta_k1 / (2 * np.pi)
 
@@ -219,8 +211,6 @@ def _winding_over_root(grid: np.ndarray, cum: np.ndarray, k1: float, A: float) -
 def _F_inf(sd: SpectralData, k1: float, winding=None) -> complex:
     """F_inf(k1) through the data's table; winding is the (grid, cum) of a
     running_winding pass to k1 already made (delta_data's), if any."""
-    if sd.source is Source.REFLECTIONLESS_SOLITON:
-        return 0.0 + 0.0j
     table = _TABLES.setdefault(sd, _RayTable())
     F = table.F_inf.get(k1)
     if F is not None:
@@ -291,8 +281,6 @@ def F_at(sd: SpectralData, dd: DeltaData, k: complex, side: CutSide = CutSide.OF
     values on (-A, A) come from substituting the side value of f: the
     product identity F_+ F_- = delta^2 is then automatic.
     """
-    if sd.source is Source.REFLECTIONLESS_SOLITON:
-        return 1.0 + 0.0j
     A, k1 = dd.A, dd.k1
     fk = f(k, A, side)
 
@@ -319,8 +307,6 @@ def transition_dA(sd: SpectralData) -> complex:
         raise MissingNormingConstant("spectral data has no norming constant gamma_+")
     if sd.a10 is None or sd.a10 == 0 or cmath.isnan(complex(sd.a10)):
         raise MissingNormingConstant("spectral data has no valid a10 coefficient")
-    if sd.source is Source.REFLECTIONLESS_SOLITON:
-        return complex(gamma / sd.a10)  # F = delta = 1
     table = _TABLES.setdefault(sd, _RayTable())
     if table.dA is None:
         dd = delta_data(sd, -sd.A)

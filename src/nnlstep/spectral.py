@@ -2,8 +2,8 @@
 
 The direct problem maps initial data q0 to the spectral functions
 (a1, a2, b), their cut boundary values, the zero coefficient a10 of
-a1+ at k = 0, and the norming constants gamma_+/-.  Three sources are
-supported:
+a1+ at k = 0, and the norming constants gamma_+/-.  Each source is one
+vector evaluator abc(k, side) of (a1, a2, b) on an array of k:
 
 * closed forms for the pure asymmetric step q0 = -A for x < R, +A for
   x > R (three branches by the sign of R),
@@ -13,10 +13,10 @@ supported:
   transfer matrix across it, on a cell grid built from the sampler (an
   ODE solver only for the norming constants at k = 0).
 
-Each source also gives the product a1 a2 as a vector function on the ray
-s < -A, which the quadratures of the asymptotic layer evaluate.  The
-closed forms and the numerical route are interchangeable on pure steps,
-which is the main cross-validation used by the test suite.
+A source may also give a faster product a1 a2 on the ray s < -A, which
+the quadratures of the asymptotic layer evaluate.  The closed forms and
+the numerical route are interchangeable on pure steps, which is the main
+cross-validation used by the test suite.
 """
 
 from __future__ import annotations
@@ -30,13 +30,8 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .branches import CutSide, background_matrix, f, f_array, h, h_real
-from .errors import (
-    BranchDomainError,
-    BranchPointProximity,
-    DivisionByZeroSpectral,
-    OdeToleranceFailure,
-)
+from .branches import CutSide, background_matrix, f, f_array, fw_array, h_array, h_real
+from .errors import DivisionByZeroSpectral, OdeToleranceFailure
 from .quadrature import IntegrandSpec, _arg_increment, running_winding
 
 
@@ -69,42 +64,64 @@ class InitialData:
     """Step-like initial datum with exponentially decaying deviation.
 
     ``sampler`` maps real x to complex q0(x); beyond ``decay_width`` the
-    datum must sit within ``tail_tol`` of its limits -A (left) and +A
-    (right).
+    datum must equal its limits -A (left) and +A (right).
     """
 
     sampler: Callable[[float], complex]
     decay_width: float
-    tail_tol: float = 1e-10
 
     def __post_init__(self):
         if not self.decay_width > 0:
             raise ValueError("decay_width must be positive")
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
+
+
+def _tabulate(memo: dict, abc: Callable, ks, side: CutSide) -> list[tuple[complex, ...]]:
+    """(a1, a2, b) at each k from memo; the points it lacks are evaluated
+    in one abc call and kept there."""
+    keys = [(complex(k), side) for k in ks]
+    new = [key for key in keys if key not in memo]
+    if new:
+        vals = abc(np.array([k for k, _ in new]), side)
+        memo.update(zip(new, zip(*(v.tolist() for v in vals))))
+    return [memo[key] for key in keys]
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Scattering data: evaluable spectral functions plus derived constants.
+    """Scattering data: one vector evaluator plus derived constants.
 
-    a1, a2, b are callables (k, side) -> complex with side-consistent
-    boundary values on the cut (-A, A).  gamma_plus is the norming
-    constant of the k = 0 zero (equal to b_+(0) when b is analytic);
-    a10 is the linear coefficient of a1_+ at k = 0.  a1a2_ray is the
-    product a1(s) a2(s) elementwise on real s off the cut; data built by
-    hand may leave it out.
+    abc(k, side) gives the arrays (a1, a2, b) on an array of complex k,
+    all off the cut (-A, A) with side OFF or all on it with the side of
+    the boundary value.  The methods a1, a2 and b are its scalar values,
+    and ``at`` its values at a list of k; both memoise per object.
+    gamma_plus is the norming constant of the k = 0 zero (equal to
+    b_+(0) when b is analytic); a10 is the linear coefficient of a1_+ at
+    k = 0.  a1a2_ray, when given, is a faster a1(s) a2(s) elementwise on
+    real s off the cut.
     """
 
     A: float
-    a1: Callable[[complex, CutSide], complex]
-    a2: Callable[[complex, CutSide], complex]
-    b: Callable[[complex, CutSide], complex]
+    abc: Callable[[np.ndarray, CutSide], tuple[np.ndarray, np.ndarray, np.ndarray]]
     a10: complex
     gamma_plus: complex
     gamma_minus: complex
     source: Source
     a1a2_ray: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})
+
+    def at(self, ks, side: CutSide = CutSide.OFF) -> list[tuple[complex, ...]]:
+        return _tabulate(self._memo, self.abc, ks, side)
+
+    def a1(self, k: complex, side: CutSide = CutSide.OFF) -> complex:
+        return self.at([k], side)[0][0]
+
+    def a2(self, k: complex, side: CutSide = CutSide.OFF) -> complex:
+        return self.at([k], side)[0][1]
+
+    def b(self, k: complex, side: CutSide = CutSide.OFF) -> complex:
+        return self.at([k], side)[0][2]
 
 
 # ---------------------------------------------------------------------------
@@ -112,38 +129,14 @@ class SpectralData:
 # ---------------------------------------------------------------------------
 
 
-def _step_pm(k, fk, hk, A: float, R: float, exp):
+def _step_pm(k, fk, hk, A: float, R: float):
     """Pure-step numerators (p, m) over 2 f h: (a1, a2) for R > 0, (a2, a1)
-    for R < 0.  exp is cmath.exp for scalars and np.exp for arrays."""
+    for R < 0."""
     l1 = 1j * (fk + hk)
     l2 = 1j * (fk - hk)
-    p = exp(2 * l1 * R) * (A * A + 1j * k * l2) - exp(2 * l2 * R) * (A * A + 1j * k * l1)
-    m = exp(-2 * l2 * R) * (A * A - 1j * k * l1) - exp(-2 * l1 * R) * (A * A - 1j * k * l2)
+    p = np.exp(2 * l1 * R) * (A * A + 1j * k * l2) - np.exp(2 * l2 * R) * (A * A + 1j * k * l1)
+    m = np.exp(-2 * l2 * R) * (A * A - 1j * k * l1) - np.exp(-2 * l1 * R) * (A * A - 1j * k * l2)
     return p, m
-
-
-def _step_abc(k: complex, A: float, R: float, side: CutSide):
-    """Closed-form (a1, a2, b) of the pure step, any sign of R."""
-    fk = f(k, A, side)
-    if R == 0.0:
-        return k / fk, k / fk, -1j * A / fk
-    k = complex(k)
-    if k.real == 0.0 and abs(k.imag) < A:
-        # a1, a2, b are even functions of h, hence analytic across the
-        # vertical cut of h; pick either square root there.
-        hk = cmath.sqrt(k * k + A * A)
-    else:
-        hk = h(k, A)
-    p, m = _step_pm(k, fk, hk, A, R, cmath.exp)
-    b = (
-        -1j
-        * A
-        * (cmath.exp(2j * hk * R) * (hk + k) + cmath.exp(-2j * hk * R) * (hk - k))
-    )
-    den = 2.0 * fk * hk
-    if R > 0:
-        return p / den, m / den, b / den
-    return m / den, p / den, b / den
 
 
 def _step_a1a2_vec(s: np.ndarray, A: float, R: float) -> np.ndarray:
@@ -158,18 +151,18 @@ def _step_a1a2_vec(s: np.ndarray, A: float, R: float) -> np.ndarray:
         if R == 0.0:
             return s * s / (fs * fs)
         hs = h_real(s.real, A)
-        p, m = _step_pm(s, fs, hs, A, R, np.exp)
+        p, m = _step_pm(s, fs, hs, A, R)
         return p * m / (2.0 * fs * hs) ** 2
 
 
 _FIT_KS = np.array([-0.04, -0.02, -0.01, 0.01, 0.02, 0.04])
 
 
-def _fit_small_k(fn, A: float):
-    """Least-squares fit c0 + c1 k + c2 k^2 of fn on the upper cut side
-    at the points _FIT_KS * A; returns (c0, c1, residual)."""
+def _fit_small_k(a1_above: np.ndarray, A: float):
+    """Least-squares fit c0 + c1 k + c2 k^2 of a1_+ given at the points
+    _FIT_KS * A; returns (c0, c1, residual)."""
     ks = _FIT_KS * A
-    vals = np.array([fn(k) for k in ks], dtype=complex)
+    vals = np.asarray(a1_above, dtype=complex)
     basis = np.column_stack([np.ones_like(ks), ks, ks**2]).astype(complex)
     coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
     resid = float(np.max(np.abs(basis @ coef - vals)))
@@ -180,14 +173,19 @@ def step_spectral(profile: StepProfile) -> SpectralData:
     """Closed-form scattering data of the pure step."""
     A, R = profile.A, profile.R
 
-    def a1(k, side=CutSide.OFF):
-        return _step_abc(k, A, R, side)[0]
-
-    def a2(k, side=CutSide.OFF):
-        return _step_abc(k, A, R, side)[1]
-
-    def b(k, side=CutSide.OFF):
-        return _step_abc(k, A, R, side)[2]
+    def abc(k, side=CutSide.OFF):
+        fk, _ = fw_array(k, A, side)
+        if R == 0.0:
+            return k / fk, k / fk, -1j * A / fk
+        # a1, a2, b are even functions of h, hence analytic across the
+        # vertical cut of h, where h_array picks one square root.
+        hk = h_array(k, A)
+        p, m = _step_pm(k, fk, hk, A, R)
+        b = -1j * A * (np.exp(2j * hk * R) * (hk + k) + np.exp(-2j * hk * R) * (hk - k))
+        den = 2.0 * fk * hk
+        if R > 0:
+            return p / den, m / den, b / den
+        return m / den, p / den, b / den
 
     # Boundary values at k = 0 from the explicit k -> 0 limits: the b
     # expression is even in h and tends to -cos(2AR) on the upper side,
@@ -196,12 +194,10 @@ def step_spectral(profile: StepProfile) -> SpectralData:
     if R == 0.0:
         a10 = -1j / A
     else:
-        _, a10, _ = _fit_small_k(lambda k: a1(k, CutSide.ABOVE), A)
+        _, a10, _ = _fit_small_k(abc(_FIT_KS * A, CutSide.ABOVE)[0], A)
     return SpectralData(
         A=A,
-        a1=a1,
-        a2=a2,
-        b=b,
+        abc=abc,
         a10=a10,
         gamma_plus=gamma,
         gamma_minus=gamma,
@@ -214,23 +210,22 @@ def soliton_spectral(A: float, phi0: float) -> SpectralData:
     """Reflectionless one-soliton scattering data."""
     if not A > 0:
         raise ValueError(f"amplitude must be positive, got {A}")
+    if not math.isfinite(phi0):
+        raise ValueError(f"soliton phase must be finite, got {phi0}")
 
-    def a1(k, side=CutSide.OFF):
-        fk = f(k, A, side)
-        return (k + fk - 1j * A) / (k + fk + 1j * A)
-
-    def a2(k, side=CutSide.OFF):
-        return 1.0 / a1(k, side)
-
-    def b(k, side=CutSide.OFF):
-        return 0.0 + 0.0j
+    def abc(k, side=CutSide.OFF):
+        fk, _ = fw_array(k, A, side)
+        den = k + fk + 1j * A
+        # a1_+(0) = 0, where a2 is infinite, and a1_-(0) is a pole, where
+        # a2 takes its limit 0; reflection refuses both zeros.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a1 = (k + fk - 1j * A) / den
+            return a1, np.where(den == 0, 0j, 1.0 / a1), np.zeros(a1.shape, dtype=complex)
 
     gamma = -1j * cmath.exp(1j * phi0)
     return SpectralData(
         A=A,
-        a1=a1,
-        a2=a2,
-        b=b,
+        abc=abc,
         a10=-1j / (2 * A),
         gamma_plus=gamma,
         gamma_minus=gamma,
@@ -461,27 +456,6 @@ def _norming_wronskian(data: InitialData, A: float, side: CutSide) -> complex:
     return complex(v2[0] * v1[1] - v2[1] * v1[0])
 
 
-def _jost_fw(k: np.ndarray, A: float, side: CutSide):
-    """f(k) and w(k) elementwise for the Jost route, with the domain checks
-    of ``branches`` except that only k = +-A itself is refused: the
-    background eigenvectors grow like |k -+ A|^(-1/4) but stay finite one
-    rounding step away, where the ray quadratures place nodes."""
-    if np.any((k == A) | (k == -A)):
-        raise BranchPointProximity(f"k at a branch point +-{A}")
-    on_cut = (k.imag == 0.0) & (np.abs(k.real) < A)
-    if side is CutSide.OFF:
-        if np.any(on_cut):
-            raise BranchDomainError("the cut (-A, A) requires side=ABOVE or BELOW")
-        return f_array(k, A), ((k - A) / (k + A)) ** 0.25
-    if not np.all(on_cut):
-        raise BranchDomainError(f"side={side.value} only valid for real k in (-A, A)")
-    sign = 1.0 if side is CutSide.ABOVE else -1.0
-    x = k.real
-    return sign * 1j * np.sqrt(A * A - x * x), ((A - x) / (A + x)) ** 0.25 * np.exp(
-        sign * 0.25j * np.pi
-    )
-
-
 def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     """Scattering data from the Jost solutions of a step-like datum.
 
@@ -489,46 +463,20 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     Jost columns there are the background solutions E_j(k) e^{-+ixf}; the
     left ones cross [-w, w] by the Magnus transfer matrix of _Transfer,
     and a1, a2, b are Wronskians at x = w.  The samples and the small-k
-    fit points are evaluated in one batch per side and cached; any other k
-    costs one more transfer product, and the ray s < -A gets a vector form.
+    fit points are evaluated in one batch per side and memoised; any
+    other k costs one more transfer product.
     """
     tr = _Transfer(data)
 
-    def evaluate(k, side: CutSide):
-        k = np.asarray(k, dtype=complex)
-        return tr.abc(k, *_jost_fw(k, A, side))
-
-    cache: dict[tuple[complex, CutSide], tuple[complex, complex, complex]] = {}
-
-    def fill(ks, side: CutSide):
-        for k, *abc in zip(ks, *evaluate(ks, side)):
-            cache[(complex(k), side)] = tuple(complex(v) for v in abc)
+    def abc(k, side=CutSide.OFF):
+        return tr.abc(k, *fw_array(k, A, side))
 
     k_samples = [complex(k) for k in k_samples]
     on_cut = [k for k in k_samples if k.imag == 0.0 and abs(k.real) < A]
-    fill([k for k in k_samples if k not in on_cut], CutSide.OFF)
-    fill(on_cut + [complex(k) for k in _FIT_KS * A], CutSide.ABOVE)
-
-    def lookup(k, side, idx):
-        key = (complex(k), side)
-        if key not in cache:
-            fill([key[0]], side)
-        return cache[key][idx]
-
-    def a1(k, side=CutSide.OFF):
-        return lookup(k, side, 0)
-
-    def a2(k, side=CutSide.OFF):
-        return lookup(k, side, 1)
-
-    def b(k, side=CutSide.OFF):
-        return lookup(k, side, 2)
-
-    def a1a2_ray(s):
-        a1s, a2s, _ = evaluate(s, CutSide.OFF)
-        return a1s * a2s
-
-    _, a10, _ = _fit_small_k(lambda k: a1(k, CutSide.ABOVE), A)
+    memo: dict = {}
+    _tabulate(memo, abc, [k for k in k_samples if k not in on_cut], CutSide.OFF)
+    above = _tabulate(memo, abc, on_cut + list(_FIT_KS * A), CutSide.ABOVE)
+    _, a10, _ = _fit_small_k([v[0] for v in above[len(on_cut):]], A)
 
     # Norming constants from the k = 0 boundary values: for exponentially
     # decaying deviations b extends analytically and gamma_+ = b_+(0),
@@ -536,17 +484,16 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     # exponential dichotomy with rate 2A, and a transfer product across
     # [-w, w] loses the subdominant coefficient, so these two come from
     # an ODE solver.
-    return SpectralData(
+    sd = SpectralData(
         A=A,
-        a1=a1,
-        a2=a2,
-        b=b,
+        abc=abc,
         a10=a10,
         gamma_plus=_norming_wronskian(data, A, CutSide.ABOVE),
         gamma_minus=-np.conj(_norming_wronskian(data, A, CutSide.BELOW)),
         source=Source.NUMERIC_JOST,
-        a1a2_ray=a1a2_ray,
     )
+    sd._memo.update(memo)
+    return sd
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +542,16 @@ def one_plus_r1r2_ray(sd: SpectralData) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized 1 + r1(s) r2(s) on real s off the cut.
 
     Uses the determinant relation a1 a2 + b(s) conj(b(-s)) = 1, which turns
-    the product into 1 / (a1 a2) and avoids evaluating b.  Data without
-    a1a2_ray are evaluated point by point.
+    the product into 1 / (a1 a2).  Data without a1a2_ray take the product
+    from one abc call.
     """
     a1a2 = sd.a1a2_ray
     if a1a2 is None:
-        a1a2 = np.vectorize(
-            lambda s: sd.a1(s, CutSide.OFF) * sd.a2(s, CutSide.OFF), otypes=[complex]
-        )
+
+        def a1a2(s):
+            a1, a2, _ = sd.abc(s.astype(complex), CutSide.OFF)
+            return a1 * a2
+
     return lambda s: 1.0 / a1a2(np.asarray(s, dtype=float))
 
 
@@ -647,30 +596,23 @@ class AssumptionReport:
         )
 
 
-def _closed_contour_winding(fn, A: float) -> float:
-    """Total argument increment of fn along a closed rectangle in the upper
-    half plane enclosing the zero-free region claimed by the assumptions.
-    Sample steps that turn by pi/2 or more are bisected, as on the ray."""
+def _closed_contour_winding(a1, A: float) -> float:
+    """Total argument increment of the vector a1 along a closed rectangle
+    in the upper half plane enclosing the zero-free region claimed by the
+    assumptions.  Sample steps that turn by pi/2 or more are bisected, as
+    on the ray."""
     eps = 0.02 * A
     big = 12.0 * A
     top = 8.0 * A
-    corners = [
-        -big + 1j * eps,
-        big + 1j * eps,
-        big + 1j * top,
-        -big + 1j * top,
-        -big + 1j * eps,
-    ]
+    corners = [-big + 1j * eps, big + 1j * eps, big + 1j * top, -big + 1j * top, -big + 1j * eps]
     s = np.linspace(0.0, 1.0, 500, endpoint=False)
-    pts = []
-    for z0, z1 in zip(corners[:-1], corners[1:]):
-        pts.extend(z0 + (z1 - z0) * s)
-    pts.append(corners[-1])
-    vals = [fn(z) for z in pts]
+    pts = np.concatenate(
+        [z0 + (z1 - z0) * s for z0, z1 in zip(corners[:-1], corners[1:])] + [corners[-1:]]
+    )
+    vals = a1(pts)
     total = 0.0
     for z0, z1, v0, v1 in zip(pts[:-1], pts[1:], vals[:-1], vals[1:]):
-        segment = lambda u, z0=z0, dz=z1 - z0: np.array([fn(z0 + dz * x) for x in u])
-        total += _arg_increment(segment, 0.0, 1.0, v0, v1)
+        total += _arg_increment(lambda u, z0=z0, dz=z1 - z0: a1(z0 + dz * u), 0.0, 1.0, v0, v1)
     return total
 
 
@@ -678,27 +620,28 @@ def check_assumptions(sd: SpectralData) -> AssumptionReport:
     """Sampled verification of the structural hypotheses used downstream.
 
     Reports (i) the argument-principle winding of a1 over an upper-half-
-    plane contour (analytic sources only), (ii) the simple zero of a1_+ at
-    the origin with purely imaginary linear coefficient, (iii) the running
-    winding of arg(1 + r1 r2) on (-inf, -A) staying inside (-pi, pi), and
-    (iv) whether 1 + r1 r2 vanishes at k = -A.  Both read 1 + r1 r2 from
-    one_plus_r1r2_ray, the form delta and F_inf integrate.
+    plane contour (closed-form sources only), (ii) the simple zero of a1_+
+    at the origin with purely imaginary linear coefficient, (iii) the
+    running winding of arg(1 + r1 r2) on (-inf, -A) staying inside
+    (-pi, pi), and (iv) whether 1 + r1 r2 vanishes at k = -A.  Both read
+    1 + r1 r2 from one_plus_r1r2_ray, the form delta and F_inf integrate.
     """
     A = sd.A
     notes = []
 
     if sd.source is Source.NUMERIC_JOST:
-        # Each contour point would need a fresh ODE solve and the result
-        # would still be a sampled heuristic; skipped for numeric data.
-        a1_winding_raw = None
-        a1_winding = None
+        # The transfer product overflows on the contour's top edge once
+        # w A exceeds about 44 (NaN at w = 50, A = 1), w = decay_width;
+        # skipped for numeric data.
+        a1_winding_raw = a1_winding = None
         notes.append("a1 contour winding skipped for numeric Jost data")
     else:
-        a1_winding_raw = _closed_contour_winding(lambda z: sd.a1(z, CutSide.OFF), A)
+        a1_winding_raw = _closed_contour_winding(lambda z: sd.abc(z, CutSide.OFF)[0], A)
         a1_winding = int(round(a1_winding_raw / (2 * np.pi)))
 
-    a1_zero, a10_fit, resid = _fit_small_k(lambda k: sd.a1(k, CutSide.ABOVE), A)
-    scale = max(abs(sd.a1(0.04 * A, CutSide.ABOVE)), 1e-300)
+    a1_fit = [v[0] for v in sd.at(_FIT_KS * A, CutSide.ABOVE)]
+    a1_zero, a10_fit, resid = _fit_small_k(a1_fit, A)
+    scale = max(abs(a1_fit[-1]), 1e-300)  # |a1_+(0.04 A)|
     simple_zero = abs(a1_zero) < 1e-6 * scale
     re_small = abs(a10_fit.real) <= 1e-6 * max(abs(a10_fit), 1e-300)
 
@@ -712,7 +655,7 @@ def check_assumptions(sd: SpectralData) -> AssumptionReport:
     return AssumptionReport(
         a1_winding=a1_winding,
         a1_winding_raw=a1_winding_raw,
-        a10=a10_fit if sd.source is Source.NUMERIC_JOST else sd.a10,
+        a10=sd.a10,
         a10_fit_residual=resid,
         a1_plus_at_zero=a1_zero,
         simple_zero_at_origin=simple_zero,

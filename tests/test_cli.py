@@ -121,6 +121,14 @@ class TestAsymCommand:
         rc = main(["asym", "--t", "10", "--out-dir", str(tmp_path / "m")])
         assert rc == 2
 
+    @pytest.mark.parametrize("where", [["--x", "0.5"], ["--xi", "0.75"]], ids=["station", "ray"])
+    def test_non_finite_soliton_phase_is_precondition_error(self, tmp_path, where, capsys):
+        out = tmp_path / "nan_phase"
+        args = ["asym", "--soliton", "--phi0", "nan", "--t", "10", "--out-dir", str(out)]
+        assert main(args + where) == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "precondition"
+        assert not (out / "asym.csv").exists()
+
     def test_ray_and_station_together_rejected(self, tmp_path):
         # One run evaluates either rays or stations; both is a usage error
         # rather than a CSV that silently lacks the rays.

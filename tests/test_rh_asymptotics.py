@@ -144,18 +144,12 @@ class TestDelta:
 
     def test_winding_out_of_range(self):
         # Fabricated unimodular data whose argument winds past pi.
-        def a1(k, side=CutSide.OFF):
-            s = complex(k).real
-            return complex(np.exp(-4j * np.exp(-((s + 1.5) ** 2))))
-
-        def a2(k, side=CutSide.OFF):
-            return 1.0 + 0.0j
-
-        def b(k, side=CutSide.OFF):
-            return 0.0 + 0.0j
+        def abc(k, side=CutSide.OFF):
+            a1 = np.exp(-4j * np.exp(-((k.real + 1.5) ** 2)))
+            return a1, np.ones_like(a1), np.zeros_like(a1)
 
         sd = SpectralData(
-            A=1.0, a1=a1, a2=a2, b=b, a10=-1j,
+            A=1.0, abc=abc, a10=-1j,
             gamma_plus=-1.0, gamma_minus=-1.0, source=Source.NUMERIC_JOST,
         )
         with pytest.raises(WindingOutOfRange):
@@ -211,6 +205,14 @@ class TestF:
     def test_transition_dA_soliton(self):
         sd = soliton_spectral(1.5, 0.4)
         assert transition_dA(sd) == pytest.approx(3.0 * cmath.exp(0.4j))
+
+    def test_soliton_takes_the_general_path_exactly(self):
+        # 1 + r1 r2 = 1 on the ray, so every ray integral vanishes exactly.
+        sd = soliton_spectral(1.0, 0.8)
+        assert F_infinity(sd, -1.0) == 0j and F_infinity(sd, -1.7) == 0j
+        dd = delta_data(sd, -1.0)
+        assert F_at(sd, dd, 0.5 + 0.3j) == 1.0 and F_at(sd, dd, 0.2, CutSide.ABOVE) == 1.0
+        assert transition_dA(sd) == sd.gamma_plus / sd.a10
 
 
 class TestProfiles:

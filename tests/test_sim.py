@@ -113,6 +113,10 @@ class TestInitField:
         with pytest.raises(ValueError):
             init_field(SolitonSpec(A=1.0, phi0=math.inf), Grid(L=5.0, N=50))
 
+    def test_non_finite_soliton_phase_refused_by_the_spec(self):
+        with pytest.raises(ValueError, match="phase"):
+            SolitonSpec(A=1.0, phi0=math.nan)
+
 
 class TestStepping:
     def test_zero_dt_is_identity(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from nnlstep import (
+    BranchPointError,
     BranchPointProximity,
     CutSide,
     DivisionByZeroSpectral,
@@ -152,6 +153,11 @@ class TestSolitonData:
         with pytest.raises(ValueError):
             soliton_spectral(0.0, 0.0)
 
+    @pytest.mark.parametrize("phi0", [math.nan, math.inf])
+    def test_non_finite_phase_rejected(self, phi0):
+        with pytest.raises(ValueError):
+            soliton_spectral(1.0, phi0)
+
 
 class TestReflection:
     def test_centered_step_reflection(self, step_sd):
@@ -291,6 +297,39 @@ class TestJostRoute:
         data = InitialData(sampler=prof.sample, decay_width=1.0)
         with pytest.raises(BranchPointProximity):
             jost_spectral(data, 1.0, k_samples=[1.0])
+
+    def test_samples_and_fit_points_are_two_batches(self, monkeypatch):
+        # reflection on a symmetric sample grid reads b(-k) from the
+        # samples, so no k costs a transfer product of its own.
+        sizes = []
+        matrix = _Transfer.matrix
+
+        def counted(self, k):
+            sizes.append(k.size)
+            return matrix(self, k)
+
+        monkeypatch.setattr(_Transfer, "matrix", counted)
+        prof = StepProfile(A=1.0, R=0.3)
+        ks = [-7.5, -2.9, -1.3, 1.3, 2.9, 7.5]
+        nd = jost_spectral(InitialData(prof.sample, decay_width=1.0), 1.0, ks)
+        for k in ks:
+            reflection(nd, k)
+        assert sizes == [len(ks), len(_FIT_KS)]
+
+
+class TestBranchPoints:
+    def test_every_source_refuses_plus_minus_A(self, jost_step, soliton_sd):
+        sources = [step_spectral(StepProfile(A=1.0, R=R)) for R in (0.0, 0.7)]
+        for sd in sources + [soliton_sd, jost_step[0]]:
+            for k in (1.0, -1.0):
+                with pytest.raises(BranchPointError):
+                    sd.a1(k, CutSide.OFF)
+
+    def test_offset_step_refuses_plus_minus_iA(self):
+        sd = step_spectral(StepProfile(A=1.0, R=0.7))
+        for k in (1j, -1j):
+            with pytest.raises(BranchPointError):
+                sd.a1(k, CutSide.OFF)
 
 
 class TestAssumptionReport:
