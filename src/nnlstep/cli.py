@@ -106,7 +106,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise CliError("config", f"bad --k-grid {spec!r}, expected lo:hi:n", _EXIT_IO)
-    if n < 1 or hi <= lo:
+    if n < 1 or not (np.isfinite([lo, hi]).all() and lo < hi):
         raise CliError("config", f"bad --k-grid {spec!r}", _EXIT_IO)
     return np.linspace(lo, hi, n)
 
@@ -116,7 +116,7 @@ def _parse_floats(spec: str) -> list[float]:
         values = [float(s) for s in spec.split(",") if s != ""]
     except ValueError:
         values = []
-    if not values:
+    if not values or not np.isfinite(values).all():
         raise CliError("config", f"bad numeric list {spec!r}", _EXIT_IO)
     return values
 
@@ -288,17 +288,20 @@ def cmd_asym(args) -> int:
     out = _out_dir(args)
     sd = _spectral_source(args)
     ts = _parse_floats(args.t)
+    if min(ts) <= 0:
+        raise CliError("config", f"bad --t {args.t!r}, every time must be > 0", _EXIT_IO)
+    points = _parse_floats(args.x if args.x is not None else args.xi)
     rows = []
     if args.x is not None:
         params = transition_params(sd)
-        for x in _parse_floats(args.x):
+        for x in points:
             for t in ts:
                 q = q_transition(sd, x, t, params=params)
                 rows.append([x, t, q.real, q.imag, abs(q),
                              RegionTag.TRANSITION_AXIS.value, "inf"])
     else:
         ray = _ray_profile(sd)
-        for xi in _parse_floats(args.xi):
+        for xi in points:
             for t in ts:
                 q, p = ray(xi, t)
                 rows.append([4.0 * xi * t, t, q.real, q.imag, abs(q), p.region.value,
@@ -374,6 +377,8 @@ def cmd_compare(args) -> int:
         lo, hi = (float(s) for s in args.window.split(":"))
     except ValueError:
         raise CliError("config", f"bad --window {args.window!r}, expected lo:hi", _EXIT_IO)
+    if not (np.isfinite([lo, hi]).all() and lo < hi):
+        raise CliError("config", f"bad --window {args.window!r}, need finite lo < hi", _EXIT_IO)
 
     if args.predictor == "soliton":
         phi0 = q0.phi0 if isinstance(q0, SolitonSpec) else 0.0

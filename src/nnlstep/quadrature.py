@@ -200,6 +200,8 @@ def running_winding(gamma: IntegrandSpec, k_end: float, samples: int = 400):
     Returns (grid, cumulative) where cumulative[i] is the total argument
     increment from -inf to grid[i]; the path is assumed to approach a
     positive real limit at -inf (it is normalized so that arg -> 0 there).
+    One vector pass unwinds the samples, bisecting only steps that turn by
+    pi/2 or more; cumsum sums the steps in order.
     """
     T = max(10.0 * gamma.decay_estimate, 10.0)
     # Confirm the tail is argument-quiet; extend if not.
@@ -214,10 +216,8 @@ def running_winding(gamma: IntegrandSpec, k_end: float, samples: int = 400):
     v = np.linspace(1.0, 0.0, samples)
     grid = k_end - T * v**2  # dense near k_end
     vals = np.asarray(gamma.eval(grid), dtype=complex)
-    cum = np.empty(samples)
-    cum[0] = np.angle(vals[0])  # small by the tail check above
-    for i in range(samples - 1):
-        cum[i + 1] = cum[i] + _arg_increment(
-            gamma.eval, grid[i], grid[i + 1], vals[i], vals[i + 1]
-        )
-    return grid, cum
+    d = np.angle(vals[1:] / vals[:-1])
+    for i in np.flatnonzero(np.abs(d) >= 0.5 * np.pi):
+        d[i] = _arg_increment(gamma.eval, grid[i], grid[i + 1], vals[i], vals[i + 1])
+    # arg(vals[0]) is small by the tail check above.
+    return grid, np.cumsum(np.concatenate([[np.angle(vals[0])], d]))

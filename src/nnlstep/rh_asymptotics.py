@@ -359,6 +359,8 @@ def transition_params(sd: SpectralData) -> AsymptoticParams:
 
 
 def _plane_wave(A: float, F_inf: complex, t: float, positive_side: bool) -> complex:
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got t={t}")
     phase = cmath.exp(-2j * (A * A * t - F_inf.real))
     if positive_side:
         return A * math.exp(-2.0 * F_inf.imag) * phase
@@ -389,6 +391,8 @@ def q_transition(
     sd: SpectralData, x: float, t: float, params: AsymptoticParams | None = None
 ) -> complex:
     """Leading term along fixed x != 0 as t grows (transition strip)."""
+    if not math.isfinite(x):
+        raise ValueError(f"station must be finite, got x={x}")
     if x == 0.0:
         raise RegionMismatch("the transition profile is not defined at x = 0")
     p = params if params is not None else transition_params(sd)

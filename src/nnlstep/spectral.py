@@ -599,8 +599,8 @@ class AssumptionReport:
 def _closed_contour_winding(a1, A: float) -> float:
     """Total argument increment of the vector a1 along a closed rectangle
     in the upper half plane enclosing the zero-free region claimed by the
-    assumptions.  Sample steps that turn by pi/2 or more are bisected, as
-    on the ray."""
+    assumptions.  One vector pass unwinds the samples, bisecting only steps
+    that turn by pi/2 or more, as on the ray; cumsum sums them in order."""
     eps = 0.02 * A
     big = 12.0 * A
     top = 8.0 * A
@@ -610,10 +610,11 @@ def _closed_contour_winding(a1, A: float) -> float:
         [z0 + (z1 - z0) * s for z0, z1 in zip(corners[:-1], corners[1:])] + [corners[-1:]]
     )
     vals = a1(pts)
-    total = 0.0
-    for z0, z1, v0, v1 in zip(pts[:-1], pts[1:], vals[:-1], vals[1:]):
-        total += _arg_increment(lambda u, z0=z0, dz=z1 - z0: a1(z0 + dz * u), 0.0, 1.0, v0, v1)
-    return total
+    d = np.angle(vals[1:] / vals[:-1])
+    for i in np.flatnonzero(np.abs(d) >= 0.5 * np.pi):
+        z0, dz = pts[i], pts[i + 1] - pts[i]
+        d[i] = _arg_increment(lambda u: a1(z0 + dz * u), 0.0, 1.0, vals[i], vals[i + 1])
+    return float(np.cumsum(d)[-1])
 
 
 def check_assumptions(sd: SpectralData) -> AssumptionReport:

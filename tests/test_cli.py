@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from nnlstep import StepProfile, q_central, step_spectral
+from nnlstep import StepProfile, cli, q_central, step_spectral
 from nnlstep.cli import main
 
 
@@ -55,6 +55,13 @@ class TestSpectralCommand:
     def test_bad_grid_is_config_error(self, tmp_path):
         rc = main(["spectral", "--k-grid", "nope", "--out-dir", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("grid", ["nan:2:3", "1:inf:3", "2:1:3"])
+    def test_non_finite_or_reversed_grid_is_config_error(self, tmp_path, grid, capsys):
+        out = tmp_path / "x"
+        assert main(["spectral", f"--k-grid={grid}", "--out-dir", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+        assert not (out / "spectral_data.csv").exists()
 
     def test_fast_turning_contour_still_reports(self, tmp_path):
         # The a1 contour of this step turns by pi/2 or more between
@@ -115,6 +122,25 @@ class TestAsymCommand:
     def test_empty_list_is_config_error(self, tmp_path, where):
         out = tmp_path / "empty"
         assert main(["asym"] + where + ["--out-dir", str(out)]) == 2
+        assert not (out / "asym.csv").exists()
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            ["--xi", "0.75", "--t", "nan"],
+            ["--xi", "0.75", "--t", "10,inf"],
+            ["--xi", "0.75", "--t", "-5"],
+            ["--xi", "0.75", "--t", "0"],
+            ["--xi", "nan", "--t", "10"],
+            ["--x", "nan", "--t", "10"],
+            ["--x", "0.5,-inf", "--t", "10"],
+        ],
+        ids=["nan_t", "inf_t", "negative_t", "zero_t", "nan_xi", "nan_x", "inf_x"],
+    )
+    def test_non_finite_or_non_positive_input_is_config_error(self, tmp_path, where, capsys):
+        out = tmp_path / "bad"
+        assert main(["asym"] + where + ["--out-dir", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
         assert not (out / "asym.csv").exists()
 
     def test_missing_ray_and_station(self, tmp_path):
@@ -206,6 +232,23 @@ class TestSimulateAndCompare:
              f"--window={window}", "--out-dir", str(tmp_path / "o")]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("window", ["nan:1", "-inf:2", "7.5:5.5", "1:1"])
+    def test_bad_window_is_config_error_before_evolve(
+        self, tmp_path, soliton_config, window, monkeypatch, capsys
+    ):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran before the window was checked")
+
+        monkeypatch.setattr(cli, "evolve", no_evolve)
+        out = tmp_path / "o"
+        rc = main(
+            ["compare", "--config", str(soliton_config), "--predictor", "soliton",
+             f"--window={window}", "--out-dir", str(out)]
+        )
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+        assert not (out / "error_table.csv").exists()
 
     @pytest.mark.parametrize("bad_row", ["nan,0,0", "0,inf,0", "0,0,-inf"])
     def test_non_finite_csv_is_io_error(self, tmp_path, bad_row):

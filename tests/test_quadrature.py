@@ -9,13 +9,20 @@ from scipy.integrate import quad
 from nnlstep import PoleOnContour, StepProfile, ToleranceNotMet, step_spectral
 from nnlstep.quadrature import (
     IntegrandSpec,
+    _arg_increment,
     cauchy_semiinfinite,
     cauchy_semiinfinite_pv,
     running_winding,
     semiinfinite_integral,
     tanh_sinh,
 )
-from nnlstep.spectral import one_plus_r1r2_ray
+from nnlstep.spectral import (
+    RAY_SAMPLES,
+    CutSide,
+    _closed_contour_winding,
+    one_plus_r1r2_ray,
+    ray_decay,
+)
 
 
 class TestTanhSinh:
@@ -134,3 +141,80 @@ class TestWinding:
         assert grid[-1] == pytest.approx(-2.0)
         assert np.all(np.diff(grid) > 0)
         assert np.max(np.abs(cum)) < 1e-12
+
+
+def _sequential_running_winding(gamma, k_end, samples):
+    """Reference unwinding: the tail probe and grid of running_winding,
+    then one _arg_increment per neighbouring pair, accumulated sample by
+    sample."""
+    T = max(10.0 * gamma.decay_estimate, 10.0)
+    for _ in range(20):
+        probe = np.asarray(gamma.eval(np.array([k_end - 4 * T, k_end - T])), dtype=complex)
+        if abs(np.angle(probe[1] / probe[0])) < 1e-9 and abs(np.angle(probe[0])) < 0.1:
+            break
+        T *= 4.0
+    grid = k_end - T * np.linspace(1.0, 0.0, samples) ** 2
+    vals = np.asarray(gamma.eval(grid), dtype=complex)
+    cum = np.empty(samples)
+    cum[0] = np.angle(vals[0])
+    for i in range(samples - 1):
+        cum[i + 1] = cum[i] + _arg_increment(
+            gamma.eval, grid[i], grid[i + 1], vals[i], vals[i + 1]
+        )
+    return grid, cum
+
+
+def _sequential_contour_winding(a1, A):
+    """Reference for the a1 contour: the same rectangle of 2,000 samples,
+    one _arg_increment per neighbouring pair, summed in order."""
+    eps, big, top = 0.02 * A, 12.0 * A, 8.0 * A
+    corners = [-big + 1j * eps, big + 1j * eps, big + 1j * top, -big + 1j * top, -big + 1j * eps]
+    s = np.linspace(0.0, 1.0, 500, endpoint=False)
+    pts = np.concatenate(
+        [z0 + (z1 - z0) * s for z0, z1 in zip(corners[:-1], corners[1:])] + [corners[-1:]]
+    )
+    vals = a1(pts)
+    total = 0.0
+    for z0, z1, v0, v1 in zip(pts[:-1], pts[1:], vals[:-1], vals[1:]):
+        total += _arg_increment(lambda u, z0=z0, dz=z1 - z0: a1(z0 + dz * u), 0.0, 1.0, v0, v1)
+    return total
+
+
+class TestArrayUnwinding:
+    @pytest.mark.parametrize("R", [-1.0, 0.0, 0.7, 1.5])
+    @pytest.mark.parametrize("k_end", [-1.0 - 1e-6, -1.3, -2.5, -6.0])
+    def test_matches_sequential_loop_bitwise(self, R, k_end):
+        sd = step_spectral(StepProfile(A=1.0, R=R))
+        spec = IntegrandSpec(one_plus_r1r2_ray(sd), decay_estimate=ray_decay(1.0))
+        grid, cum = running_winding(spec, k_end, samples=RAY_SAMPLES)
+        ref_grid, ref_cum = _sequential_running_winding(spec, k_end, RAY_SAMPLES)
+        assert np.array_equal(grid, ref_grid)
+        assert np.array_equal(cum, ref_cum)
+
+    def test_unresolved_turn_is_bisected(self):
+        # The argument climbs by 6 pi over a width of about 0.1 near -1.5,
+        # far faster than the sample grid resolves, so steps get bisected.
+        calls = []
+
+        def path(s):
+            s = np.asarray(s, dtype=float)
+            calls.append(s.size)
+            return np.exp(3j * np.pi * (1.0 + np.tanh((s + 1.5) / 0.03)))
+
+        _, cum = running_winding(IntegrandSpec(path, decay_estimate=1.0), -1.0)
+        assert len(calls) > 2  # the probe pair and the batch, then midpoints
+        assert abs(cum[-1] - 3 * np.pi * (1.0 + np.tanh(0.5 / 0.03))) < 1e-9
+
+    @pytest.mark.parametrize("R", [-1.0, 0.0, 0.7, 1.5])
+    def test_closed_contour_winding_matches_sequential_loop(self, R):
+        sd = step_spectral(StepProfile(A=1.0, R=R))
+
+        def a1(z):
+            return sd.abc(z, CutSide.OFF)[0]
+
+        got = _closed_contour_winding(a1, 1.0)
+        assert type(got) is float
+        assert got == _sequential_contour_winding(a1, 1.0)
+        if R == 1.5:
+            # Neighbouring samples turn by pi/2 or more: bisection runs.
+            assert abs(got - 4 * 2 * np.pi) < 1e-6

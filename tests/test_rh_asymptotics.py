@@ -280,6 +280,25 @@ class TestProfiles:
         with pytest.raises(RegionMismatch):
             q_transition(step_sd, 0.0, 5.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            lambda sd, t: q_modulated(sd, 0.75, t),
+            lambda sd, t: q_central(sd, 0.2, t),
+            lambda sd, t: q_transition(sd, 0.5, t),
+        ],
+        ids=["modulated", "central", "transition"],
+    )
+    def test_non_finite_time_rejected(self, step_sd, profile, t):
+        with pytest.raises(ValueError, match="time must be finite"):
+            profile(step_sd, t)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_station_rejected(self, step_sd, x):
+        with pytest.raises(ValueError, match="station must be finite"):
+            q_transition(step_sd, x, 5.0)
+
     def test_singular_station_guard(self, step_sd):
         x0 = 0.5
         crafted = AsymptoticParams(
