@@ -63,13 +63,17 @@ def _validate_horizontal(k: complex, A: float, side: CutSide, name: str) -> comp
     return k
 
 
-def f_array(k, A: float):
+def f_array(k, A: float, sp=None):
     """Unchecked f off the cut, elementwise: principal sqrt(k-A)*sqrt(k+A).
 
     The two principal cuts cancel on (-inf, -A), leaving a single cut on
-    [-A, A] and f ~ k at infinity.  Callers keep k off [-A, A].
+    [-A, A] and f ~ k at infinity.  Callers keep k off [-A, A].  sp, when
+    given, is k + A as the caller knows it exactly (a ray quadrature node's
+    distance to -A, which k itself may have rounded away); it stands in
+    for the rounded k + A.
     """
-    return np.sqrt(k - A) * np.sqrt(k + A)
+    kp = k + A if sp is None else np.asarray(sp, dtype=complex)
+    return np.sqrt(k - A) * np.sqrt(kp)
 
 
 def h_real(x, A: float):
@@ -94,14 +98,16 @@ def h_array(k, A: float):
     return np.where(cut, np.sqrt(k * k + A * A), np.where(axis, h_real(k.real, A), general))
 
 
-def fw_array(k, A: float, side: CutSide):
+def fw_array(k, A: float, side: CutSide, sp=None):
     """f(k) and w(k) elementwise, for complex k all on the cut with side
     ABOVE or BELOW, or all off it with side OFF.  Only k exactly at +-A is
     refused: the background eigenvectors grow like |k -+ A|^(-1/4) but
     stay finite one rounding step away, where the ray quadratures place
-    nodes."""
+    nodes.  Off the cut, sp is the exact k + A as in f_array: f and w
+    are then formed from it, and only sp = 0 counts as k = -A."""
     k = np.asarray(k, dtype=complex)
-    if np.any((k == A) | (k == -A)):
+    kp = k + A if sp is None else np.asarray(sp, dtype=complex)
+    if np.any((k == A) | (kp == 0)):
         raise BranchPointProximity(f"k at a branch point +-{A}")
     on_cut = (k.imag == 0.0) & (np.abs(k.real) < A)
     if side is CutSide.OFF:
@@ -109,7 +115,7 @@ def fw_array(k, A: float, side: CutSide):
             raise BranchDomainError("the cut (-A, A) requires side=ABOVE or BELOW")
         # The cross-ratio avoids the negative real axis for k off [-A, A],
         # so the principal fourth root already carries the right branch.
-        return f_array(k, A), ((k - A) / (k + A)) ** 0.25
+        return f_array(k, A, kp), ((k - A) / kp) ** 0.25
     if not np.all(on_cut):
         raise BranchDomainError(f"side={side.value} only valid for real k in (-A, A)")
     sign = 1.0 if side is CutSide.ABOVE else -1.0

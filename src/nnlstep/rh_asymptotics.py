@@ -105,6 +105,13 @@ def _unwound_log(gvec, k1: float, decay: float):
     return log_fn, grid, cum
 
 
+def _check_k1(k1: float, A: float) -> float:
+    k1 = float(k1)
+    if not (math.isfinite(k1) and k1 <= -A):
+        raise ValueError(f"k1 must be finite with k1 <= -A, got k1={k1}, A={A}")
+    return k1
+
+
 def delta_data(sd: SpectralData, k1: float) -> DeltaData:
     """Construct delta(. , k1) = exp{(2 pi i)^{-1} int_{-inf}^{k1} ln(1+r1r2)/(z-k)}.
 
@@ -116,9 +123,7 @@ def delta_data(sd: SpectralData, k1: float) -> DeltaData:
     ((z + A)/z)(1 + r1 r2), since (z + A)/z > 0 on z < -A.
     """
     A = sd.A
-    k1 = float(k1)
-    if k1 > -A:
-        raise ValueError(f"k1 must satisfy k1 <= -A, got k1={k1}, A={A}")
+    k1 = _check_k1(k1, A)
     gvec = one_plus_r1r2_ray(sd)
     decay = ray_decay(A)
 
@@ -178,16 +183,16 @@ def delta_data(sd: SpectralData, k1: float) -> DeltaData:
 class _RayTable:
     """What the rays of one spectral data set share.
 
-    Holds F_inf by k1, d(A), and the tails
-    T_j = int_{-inf}^{c_j} ln|1+r1r2(s)| / sqrt(s^2-A^2) ds at the anchors
-    c_j = -2^j A (j >= 1).  It keeps no reference to the data, so the
-    weak-keyed _TABLES drops it together with the data.
+    Holds F_inf by k1, d(A), and the one tail
+    T = int_{-inf}^{-2A} ln|1+r1r2(s)| / sqrt(s^2-A^2) ds, walked once.
+    It keeps no reference to the data, so the weak-keyed _TABLES drops it
+    together with the data.
     """
 
     def __init__(self):
         self.F_inf: dict[float, complex] = {}
         self.dA: complex | None = None
-        self.tails: dict[int, float] = {}
+        self.tail: float | None = None
 
 
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -218,23 +223,26 @@ def _F_inf(sd: SpectralData, k1: float, winding=None) -> complex:
     A = sd.A
     gvec = one_plus_r1r2_ray(sd)
 
-    def log_abs_over_root(s):
-        s = np.asarray(s, dtype=float)
-        return np.log(np.abs(gvec(s))) / np.sqrt(s * s - A * A)
+    def log_abs_over_root(t):
+        # In t = s + A, so that a node next to s = -A keeps its distance
+        # t to it; sqrt(s^2 - A^2) = sqrt(A - s) sqrt(-t).
+        t = np.asarray(t, dtype=float)
+        s = t - A
+        return np.log(np.abs(gvec(s, t))) / (np.sqrt(A - s) * np.sqrt(-t))
 
     spec = IntegrandSpec(log_abs_over_root, ray_decay(A))
-    j = 1
-    while -(2.0**j) * A >= k1:
-        j += 1
-    anchor = -(2.0**j) * A
-    if j not in table.tails:
-        table.tails[j] = semiinfinite_integral(spec, anchor, tol=_PIECE_TOL).real
-    piece, _ = tanh_sinh(spec.eval, anchor, k1, tol=_PIECE_TOL)
+    if table.tail is None:
+        table.tail = semiinfinite_integral(spec, -A, tol=_PIECE_TOL).real
+    t1 = k1 + A  # exactly 0 at k1 = -A
+    if t1 >= -A:
+        piece = tanh_sinh(spec.eval, -A, t1, tol=_PIECE_TOL)[0].real
+    else:
+        piece = -tanh_sinh(spec.eval, t1, -A, tol=_PIECE_TOL)[0].real
     if winding is None:
         _, grid, cum = _unwound_log(gvec, k1, ray_decay(A))
     else:
         grid, cum = winding
-    re_val = table.tails[j] + piece.real
+    re_val = table.tail + piece
     im_val = _winding_over_root(grid, cum, k1, A)
     F = table.F_inf[k1] = complex(re_val / (2 * np.pi), im_val / (2 * np.pi))
     return F
@@ -252,18 +260,17 @@ def F_infinity(sd: SpectralData, k1: float) -> complex:
         Re F_inf = (1/2pi) int_{-inf}^{k1} ln|1+r1r2(s)| / sqrt(s^2-A^2) ds,
         Im F_inf = (1/2pi) int_{-inf}^{k1} Delta(s) / sqrt(s^2-A^2) ds.
 
-    The real part is a tail shared by every k1 above one anchor plus a
-    finite tanh-sinh integral up to k1.  In the imaginary part Delta(s) is
-    the linear interpolant of the running_winding samples to k1 (0 to
-    their left), integrated exactly cell by cell; near a zero of 1 + r1 r2
-    it misses the refined argument (FOUND line on Im F_inf in CHANGES.md).
+    The real part is integrated in t = s + A, so that k1 = -A is exactly
+    t = 0 and no node next to it is rounded onto it.  It is the one tail
+    T = int_{-inf}^{-2A}, walked once per data set, plus the finite
+    tanh-sinh piece from -2A up to k1, or minus the one from k1 up to -2A
+    when k1 < -2A.  In the imaginary part Delta(s) is the linear
+    interpolant of the running_winding samples to k1 (0 to their left),
+    integrated exactly cell by cell; near a zero of 1 + r1 r2 it misses
+    the refined argument (FOUND line on Im F_inf in CHANGES.md).
     Values are memoised per spectral data object for its lifetime.
     """
-    A = sd.A
-    k1 = float(k1)
-    if k1 > -A:
-        raise ValueError(f"k1 must satisfy k1 <= -A, got k1={k1}")
-    return _F_inf(sd, k1)
+    return _F_inf(sd, _check_k1(k1, sd.A))
 
 
 def F_at(sd: SpectralData, dd: DeltaData, k: complex, side: CutSide = CutSide.OFF) -> complex:

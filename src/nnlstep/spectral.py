@@ -96,8 +96,9 @@ class SpectralData:
     and ``at`` its values at a list of k; both memoise per object.
     gamma_plus is the norming constant of the k = 0 zero (equal to
     b_+(0) when b is analytic); a10 is the linear coefficient of a1_+ at
-    k = 0.  a1a2_ray, when given, is a faster a1(s) a2(s) elementwise on
-    real s off the cut.
+    k = 0.  a1a2_ray(s, sp=None), when given, is a faster a1(s) a2(s)
+    elementwise on real s off the cut; sp, when given, is the exact s + A
+    (see branches.f_array), so that nodes next to -A keep their distance.
     """
 
     A: float
@@ -106,7 +107,7 @@ class SpectralData:
     gamma_plus: complex
     gamma_minus: complex
     source: Source
-    a1a2_ray: Callable[[np.ndarray], np.ndarray] | None = None
+    a1a2_ray: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "_memo", {})
@@ -139,15 +140,16 @@ def _step_pm(k, fk, hk, A: float, R: float):
     return p, m
 
 
-def _step_a1a2_vec(s: np.ndarray, A: float, R: float) -> np.ndarray:
-    """Vectorized a1(s) a2(s) of the pure step on real s off the cut.
+def _step_a1a2_vec(s: np.ndarray, A: float, R: float, sp=None) -> np.ndarray:
+    """Vectorized a1(s) a2(s) of the pure step on real s off the cut, with
+    f formed from sp = s + A when given.
 
     Used by the singular quadratures, where the determinant relation gives
     1 + r1 r2 = 1 / (a1 a2) and millions of evaluations occur.
     """
     s = np.asarray(s, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fs = f_array(s, A)
+        fs = f_array(s, A, sp)
         if R == 0.0:
             return s * s / (fs * fs)
         hs = h_real(s.real, A)
@@ -202,7 +204,7 @@ def step_spectral(profile: StepProfile) -> SpectralData:
         gamma_plus=gamma,
         gamma_minus=gamma,
         source=Source.CLOSED_FORM_STEP,
-        a1a2_ray=lambda s: _step_a1a2_vec(s, A, R),
+        a1a2_ray=lambda s, sp=None: _step_a1a2_vec(s, A, R, sp),
     )
 
 
@@ -230,7 +232,7 @@ def soliton_spectral(A: float, phi0: float) -> SpectralData:
         gamma_plus=gamma,
         gamma_minus=gamma,
         source=Source.REFLECTIONLESS_SOLITON,
-        a1a2_ray=lambda s: np.ones(np.shape(s), dtype=complex),
+        a1a2_ray=lambda s, sp=None: np.ones(np.shape(s), dtype=complex),
     )
 
 
@@ -464,12 +466,18 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     left ones cross [-w, w] by the Magnus transfer matrix of _Transfer,
     and a1, a2, b are Wronskians at x = w.  The samples and the small-k
     fit points are evaluated in one batch per side and memoised; any
-    other k costs one more transfer product.
+    other k costs one more transfer product.  On the ray, a1a2_ray is the
+    same product with f and w formed from the exact s + A when given.
     """
     tr = _Transfer(data)
 
     def abc(k, side=CutSide.OFF):
         return tr.abc(k, *fw_array(k, A, side))
+
+    def a1a2_ray(s, sp=None):
+        k = np.asarray(s, dtype=complex)
+        a1, a2, _ = tr.abc(k, *fw_array(k, A, CutSide.OFF, sp))
+        return a1 * a2
 
     k_samples = [complex(k) for k in k_samples]
     on_cut = [k for k in k_samples if k.imag == 0.0 and abs(k.real) < A]
@@ -491,6 +499,7 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
         gamma_plus=_norming_wronskian(data, A, CutSide.ABOVE),
         gamma_minus=-np.conj(_norming_wronskian(data, A, CutSide.BELOW)),
         source=Source.NUMERIC_JOST,
+        a1a2_ray=a1a2_ray,
     )
     sd._memo.update(memo)
     return sd
@@ -538,21 +547,23 @@ def one_plus_r1r2(sd: SpectralData, k: float, side: CutSide = CutSide.OFF) -> co
     return 1.0 + r1 * r2
 
 
-def one_plus_r1r2_ray(sd: SpectralData) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized 1 + r1(s) r2(s) on real s off the cut.
+def one_plus_r1r2_ray(sd: SpectralData) -> Callable[..., np.ndarray]:
+    """Vectorized 1 + r1(s) r2(s) on real s off the cut, as g(s, sp=None).
 
     Uses the determinant relation a1 a2 + b(s) conj(b(-s)) = 1, which turns
-    the product into 1 / (a1 a2).  Data without a1a2_ray take the product
-    from one abc call.
+    the product into 1 / (a1 a2).  sp, the exact s + A, goes through to
+    a1a2_ray, so that a node within rounding of -A keeps its distance
+    there.  Data without a1a2_ray take the product from one abc call and
+    ignore sp.
     """
     a1a2 = sd.a1a2_ray
     if a1a2 is None:
 
-        def a1a2(s):
+        def a1a2(s, sp=None):
             a1, a2, _ = sd.abc(s.astype(complex), CutSide.OFF)
             return a1 * a2
 
-    return lambda s: 1.0 / a1a2(np.asarray(s, dtype=float))
+    return lambda s, sp=None: 1.0 / a1a2(np.asarray(s, dtype=float), sp)
 
 
 def endpoint_zero(sd: SpectralData) -> tuple[bool, complex]:

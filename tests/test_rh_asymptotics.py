@@ -323,20 +323,23 @@ def _k1(xi, A):
 
 def _walker_F_inf(sd, k1, tol=1e-8):
     """F_inf as two semi-infinite walker calls: ln|1 + r1 r2| and the
-    np.interp winding interpolant, each over sqrt(s^2 - A^2)."""
+    np.interp winding interpolant, each over sqrt(s^2 - A^2).  The first
+    runs in t = s + A, so that at k1 = -A the walker's nodes keep their
+    distance t to the log singularity instead of rounding onto it."""
     A = sd.A
     g = one_plus_r1r2_ray(sd)
     decay = max(1.0, 2.0 * A)
     k_end = k1 - 1e-9 * max(1.0, abs(k1))
     grid, cum = running_winding(IntegrandSpec(g, decay), k_end, samples=600)
 
-    def re(s):
-        return np.log(np.abs(g(s))) / np.sqrt(s * s - A * A)
+    def re(t):
+        s = t - A
+        return np.log(np.abs(g(s, t))) / (np.sqrt(A - s) * np.sqrt(-t))
 
     def im(s):
         return np.interp(s, grid, cum, left=0.0, right=cum[-1]) / np.sqrt(s * s - A * A)
 
-    re_val = semiinfinite_integral(IntegrandSpec(re, decay), k1, tol=tol).real
+    re_val = semiinfinite_integral(IntegrandSpec(re, decay), k1 + A, tol=tol).real
     im_val = semiinfinite_integral(IntegrandSpec(im, decay), k1, tol=tol).real
     return complex(re_val, im_val) / (2 * np.pi)
 
@@ -447,6 +450,92 @@ class TestRayTable:
     def test_im_F_inf_matches_independent_unwrap(self, unwrapped_im_F_inf):
         sd = step_spectral(StepProfile(A=1.0, R=-1.0))
         assert abs(F_infinity(sd, _k1(0.6, 1.0)).imag - unwrapped_im_F_inf) < 1e-4
+
+
+def _mp_log_one_plus_r1r2(mp, u, A, R):
+    """ln|1 + r1 r2| of the pure step at s = -A cosh u, in mpmath.
+
+    1 + r1 r2 = 1/(a1 a2) = (2 f h)^2 / (p m) with f = -A sinh u (exact at
+    the endpoint u = 0), h = -sqrt(s^2 + A^2), l1,2 = i(f +- h) and
+    p = e^{2 l1 R}(A^2 + i s l2) - e^{2 l2 R}(A^2 + i s l1),
+    m = e^{-2 l2 R}(A^2 - i s l1) - e^{-2 l1 R}(A^2 - i s l2).
+    """
+    s = -A * mp.cosh(u)
+    fs = -A * mp.sinh(u)
+    hs = -mp.sqrt(s * s + A * A)
+    l1, l2 = mp.j * (fs + hs), mp.j * (fs - hs)
+    p = mp.exp(2 * l1 * R) * (A * A + mp.j * s * l2) - mp.exp(2 * l2 * R) * (A * A + mp.j * s * l1)
+    m = mp.exp(-2 * l2 * R) * (A * A - mp.j * s * l1) - mp.exp(-2 * l1 * R) * (A * A - mp.j * s * l2)
+    return mp.log(abs((2 * fs * hs) ** 2 / (p * m)))
+
+
+class TestExactEndpoint:
+    """Re F_inf in t = s + A: the endpoint k1 = -A keeps its mass, and one
+    tail at -2A serves every ray."""
+
+    @pytest.mark.parametrize("A", [0.5, 1.0, 2.0])
+    def test_centered_step_is_minus_pi_over_8(self, A):
+        # The endpoint cell is exact to 1e-14 here; what is left, 4.6e-12,
+        # is the tail walker stopping at a cell below 1e-10.
+        sd = step_spectral(StepProfile(A=A, R=0.0))
+        assert abs(F_infinity(sd, -A).real + math.pi / 8) < 1e-11
+
+    def test_sampled_centered_step_is_minus_pi_over_8(self):
+        prof = StepProfile(A=1.0, R=0.0)
+        nd = jost_spectral(InitialData(prof.sample, decay_width=1.5), 1.0, [])
+        assert abs(F_infinity(nd, -1.0).real + math.pi / 8) < 1e-10
+
+    @pytest.mark.parametrize("R", [-1.0, 0.7])
+    def test_endpoint_cell_matches_mpmath(self, R):
+        mpmath = pytest.importorskip("mpmath")
+        A = 1.0
+        with mpmath.workdps(30):
+            # s = -A cosh u maps [-2A, -A] onto [0, arccosh 2] with
+            # ds / sqrt(s^2 - A^2) = -du.
+            cell = mpmath.quad(
+                lambda u: _mp_log_one_plus_r1r2(mpmath.mp, u, A, R), [0, mpmath.acosh(2)]
+            )
+            want = float(cell / (2 * mpmath.pi))
+        sd = step_spectral(StepProfile(A=A, R=R))
+        got = F_infinity(sd, -A).real - F_infinity(sd, -2.0 * A).real
+        assert abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("ka, kb", [(-2.5, -1.5), (-5.0, -2.5)])
+    def test_rays_share_one_tail(self, ka, kb):
+        # Rays on either side of -2A differ by a finite integral alone.
+        A = 1.0
+        sd = step_spectral(StepProfile(A=A, R=0.33))
+        g = one_plus_r1r2_ray(sd)
+
+        def integrand(s):
+            return math.log(abs(complex(g(np.array([s]))[0]))) / math.sqrt(s * s - A * A)
+
+        val, _ = quad(integrand, ka, kb, epsabs=1e-14, epsrel=1e-13, limit=200)
+        got = F_infinity(sd, kb).real - F_infinity(sd, ka).real
+        assert abs(got - val / (2 * np.pi)) < 1e-11
+
+    def test_central_F_inf_is_cheap(self, monkeypatch):
+        points = []
+        vec = rh.one_plus_r1r2_ray
+
+        def counting(sd):
+            g = vec(sd)
+
+            def sampled(s, *sp):
+                points.append(np.size(s))
+                return g(s, *sp)
+
+            return sampled
+
+        monkeypatch.setattr(rh, "one_plus_r1r2_ray", counting)
+        F_infinity(step_spectral(StepProfile(A=1.0, R=0.0)), -1.0)
+        assert sum(points) < 5000
+
+    @pytest.mark.parametrize("fn", [F_infinity, delta_data])
+    @pytest.mark.parametrize("k1", [float("nan"), -math.inf])
+    def test_non_finite_k1_refused(self, step_sd, fn, k1):
+        with pytest.raises(ValueError, match="finite"):
+            fn(step_sd, k1)
 
 
 def test_accuracy_is_fixed_not_a_parameter():
