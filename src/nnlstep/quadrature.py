@@ -14,6 +14,7 @@ which converges at machine precision for analytic integrands.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +25,7 @@ from .errors import InconclusiveWinding, PoleOnContour, ToleranceNotMet
 DEFAULT_TOL = 1e-8
 _POLE_GUARD = 1e-8
 _MAX_CELLS = 64
+_T_MAX = 3.8  # tanh-sinh nodes span t in (-_T_MAX, _T_MAX)
 
 
 @dataclass(frozen=True)
@@ -39,43 +41,59 @@ class IntegrandSpec:
     decay_estimate: float = 1.0
 
 
+@functools.cache
+def _unit_level(level: int) -> tuple[np.ndarray, ...]:
+    """Unit data of one tanh-sinh level, built on first use: the node side
+    (t >= 0), e^{-2|u|}, 1 + e^{-2|u|}, cosh t and sech^2 u at
+    u = pi/2 sinh t, for t in {0, +-1, +-2, +-3} at level 0 and the odd
+    multiples of 2^-level below _T_MAX after it."""
+    if level == 0:
+        base = np.arange(1.0, _T_MAX, 1.0)
+        ts = np.concatenate([[0.0], base, -base])
+    else:
+        h = 0.5**level
+        ts = np.arange(h, _T_MAX, 2 * h)
+        ts = np.concatenate([ts, -ts])
+    u = 0.5 * np.pi * np.sinh(ts)
+    e2u = np.exp(-2.0 * np.abs(u))
+    one_plus = 1.0 + e2u
+    sech = 2.0 * np.exp(-np.abs(u)) / one_plus
+    data = (ts >= 0, e2u, one_plus, np.cosh(ts), sech**2)
+    for arr in data:
+        arr.flags.writeable = False
+    return data
+
+
 def tanh_sinh(fn, a: float, b: float, tol: float = DEFAULT_TOL, max_level: int = 14):
     """Tanh-sinh quadrature of a vectorized fn over [a, b].
 
     Returns (value, error_estimate). Integrable endpoint singularities are
     fine: nodes approach the endpoints double-exponentially and non-finite
     samples (which can only occur within rounding distance of an endpoint)
-    are dropped.
+    are dropped.  The nodes and weights of each level are mapped to [a, b]
+    from the cached unit data of _unit_level.
     """
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    t_max = 3.8
 
-    def _sample(ts):
-        u = 0.5 * np.pi * np.sinh(ts)
+    def _sample(level):
+        right, e2u, one_plus, cosh_t, sech2 = _unit_level(level)
         # Distance to the nearer endpoint, computed cancellation-free:
         # 1 - tanh|u| = 2 e^{-2|u|} / (1 + e^{-2|u|}) keeps full relative
         # precision where mid + half*tanh(u) would lose all digits.
-        e2u = np.exp(-2.0 * np.abs(u))
-        delta = half * 2.0 * e2u / (1.0 + e2u)
-        x = np.where(ts >= 0, b - delta, a + delta)
-        sech = 2.0 * np.exp(-np.abs(u)) / (1.0 + e2u)
-        wgt = half * 0.5 * np.pi * np.cosh(ts) * sech**2
+        delta = half * 2.0 * e2u / one_plus
+        x = np.where(right, b - delta, a + delta)
+        wgt = half * 0.5 * np.pi * cosh_t * sech2
         keep = (x > a) & (x < b) & (wgt > 0)
         vals = np.asarray(fn(x[keep]), dtype=complex)
         vals = np.where(np.isfinite(vals), vals, 0.0)
         return np.sum(vals * wgt[keep])
 
     h = 1.0
-    base = np.arange(1.0, t_max, 1.0)
-    total = _sample(np.concatenate([[0.0], base, -base])) * h
-    prev = total
+    total = prev = _sample(0)
     err = np.inf
     for level in range(1, max_level + 1):
         h *= 0.5
-        ts = np.arange(h, t_max, 2 * h)  # odd multiples of the new h
-        ts = np.concatenate([ts, -ts])
-        total = 0.5 * prev + _sample(ts) * h
+        total = 0.5 * prev + _sample(level) * h
         err = abs(total - prev)
         if level >= 3 and err < tol:
             return total, err

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .branches import CutSide, background_matrix, f, f_array, fw_array, h_array, h_real
+from .branches import CutSide, background_matrix, f, fw_array, h_array
 from .errors import DivisionByZeroSpectral, OdeToleranceFailure
 from .quadrature import IntegrandSpec, _arg_increment, running_winding
 
@@ -97,7 +97,7 @@ class SpectralData:
     gamma_plus is the norming constant of the k = 0 zero (equal to
     b_+(0) when b is analytic); a10 is the linear coefficient of a1_+ at
     k = 0.  a1a2_ray(s, sp=None), when given, is a faster a1(s) a2(s)
-    elementwise on real s off the cut; sp, when given, is the exact s + A
+    elementwise on the ray s < -A; sp, when given, is the exact s + A
     (see branches.f_array), so that nodes next to -A keep their distance.
     """
 
@@ -141,20 +141,35 @@ def _step_pm(k, fk, hk, A: float, R: float):
 
 
 def _step_a1a2_vec(s: np.ndarray, A: float, R: float, sp=None) -> np.ndarray:
-    """Vectorized a1(s) a2(s) of the pure step on real s off the cut, with
+    """Vectorized a1(s) a2(s) of the pure step on the ray s < -A, with
     f formed from sp = s + A when given.
 
     Used by the singular quadratures, where the determinant relation gives
-    1 + r1 r2 = 1 / (a1 a2) and millions of evaluations occur.
+    1 + r1 r2 = 1 / (a1 a2) and millions of evaluations occur.  On the ray
+    f = -sqrt(A - s) sqrt(-sp), h = -sqrt(s^2 + A^2), alpha = f + h and
+    beta = f - h are real, and with P1 = A^2 - s beta, P2 = A^2 - s alpha,
+    M1 = A^2 + s alpha, M2 = A^2 + s beta the product of _step_pm's p and m
+    is P1 M1 e^{4ihR} + P2 M2 e^{-4ihR} - (P1 M2 + P2 M1): one real phase
+    in place of four complex exponentials.
     """
-    s = np.asarray(s, dtype=complex)
+    s = np.asarray(s, dtype=float)
+    sp = s + A if sp is None else np.asarray(sp, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fs = f_array(s, A, sp)
+        ff = (A - s) * -sp  # f^2
         if R == 0.0:
-            return s * s / (fs * fs)
-        hs = h_real(s.real, A)
-        p, m = _step_pm(s, fs, hs, A, R)
-        return p * m / (2.0 * fs * hs) ** 2
+            return (s * s / ff).astype(complex)
+        hh = s * s + A * A  # h^2
+        f = -np.sqrt(A - s) * np.sqrt(-sp)
+        h = -np.sqrt(hh)
+        sa, sb = s * (f + h), s * (f - h)
+        P1, P2, M1, M2 = A * A - sb, A * A - sa, A * A + sa, A * A + sb
+        P1M1, P2M2 = P1 * M1, P2 * M2
+        phase = 4.0 * R * h
+        scale = 0.25 / (ff * hh)  # 1 / (2 f h)^2
+        out = np.empty(s.shape, dtype=complex)
+        out.real = ((P1M1 + P2M2) * np.cos(phase) - (P1 * M2 + P2 * M1)) * scale
+        out.imag = (P1M1 - P2M2) * np.sin(phase) * scale
+        return out
 
 
 _FIT_KS = np.array([-0.04, -0.02, -0.01, 0.01, 0.02, 0.04])
@@ -413,11 +428,16 @@ class _Transfer:
             m = pairs
         return tuple(x[:, 0] for x in m)
 
-    def abc(self, k: np.ndarray, fk: np.ndarray, wk: np.ndarray):
-        """(a1, a2, b) at k from the Wronskians at x = w, given f(k), w(k).
+    def abc(self, k: np.ndarray, fk: np.ndarray, wk: np.ndarray, side: CutSide = CutSide.OFF):
+        """(a1, a2, b) at k from the Wronskians at x = w, given f(k), w(k)
+        and the side of the cut they were taken on.
 
         Outside [-w, w] the datum is its background, so the Jost columns
-        there are E_j(k) e^{-+ixf}; only Psi_1 crosses the grid.
+        there are E_j(k) e^{-+ixf}; only Psi_1 crosses the grid.  On the
+        cut the Wronskian of a2 (above) or of a1 (below) is read through
+        the growing factor e^{2w|f|}; that one comes from det S = 1,
+        a1 a2 = 1 + b c, with c the other off-diagonal Wronskian (which is
+        b on the other side), so that a2_+ = -a1_- as for the closed forms.
         """
         t11, t12, t21, t22 = self.matrix(k)
         e1 = 0.5 * (wk + 1.0 / wk)
@@ -425,7 +445,15 @@ class _Transfer:
         x1, y1 = t11 * e1 + t12 * e2, t21 * e1 + t22 * e2  # T E1[:, 0]
         x2, y2 = t12 * e1 - t11 * e2, t22 * e1 - t21 * e2  # T E1[:, 1]
         ph = np.exp(2j * self.w * fk)
-        return ph * (x1 * e1 - y1 * e2), (e1 * y2 + e2 * x2) / ph, e1 * y1 + e2 * x1
+        b = e1 * y1 + e2 * x1
+        if side is CutSide.OFF:
+            return ph * (x1 * e1 - y1 * e2), (e1 * y2 + e2 * x2) / ph, b
+        det = 1.0 + b * (x2 * e1 - y2 * e2)
+        if side is CutSide.ABOVE:
+            a1 = ph * (x1 * e1 - y1 * e2)
+            return a1, det / a1, b
+        a2 = (e1 * y2 + e2 * x2) / ph
+        return det / a2, a2, b
 
 
 def _norming_wronskian(data: InitialData, A: float, side: CutSide) -> complex:
@@ -472,7 +500,7 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     tr = _Transfer(data)
 
     def abc(k, side=CutSide.OFF):
-        return tr.abc(k, *fw_array(k, A, side))
+        return tr.abc(k, *fw_array(k, A, side), side)
 
     def a1a2_ray(s, sp=None):
         k = np.asarray(s, dtype=complex)
@@ -548,7 +576,7 @@ def one_plus_r1r2(sd: SpectralData, k: float, side: CutSide = CutSide.OFF) -> co
 
 
 def one_plus_r1r2_ray(sd: SpectralData) -> Callable[..., np.ndarray]:
-    """Vectorized 1 + r1(s) r2(s) on real s off the cut, as g(s, sp=None).
+    """Vectorized 1 + r1(s) r2(s) on the ray s < -A, as g(s, sp=None).
 
     Uses the determinant relation a1 a2 + b(s) conj(b(-s)) = 1, which turns
     the product into 1 / (a1 a2).  sp, the exact s + A, goes through to

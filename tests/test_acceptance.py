@@ -170,6 +170,7 @@ def test_criterion_4_reflectionless_reduction():
     _report(4, f"all evaluators collapse to the exact soliton (max dev {worst:.1e} < 1e-10)")
 
 
+@pytest.mark.slow
 def test_criterion_5_solver_regression():
     start = time.perf_counter()
     # Golden threshold 3.5e-4: the measured sup error of this exact run is
@@ -213,6 +214,7 @@ def test_criterion_5_solver_regression():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_central_region(step_sd, desk_run):
     cp = central_params(step_sd, 0.2)
     assert abs(cp.F_inf.imag) < 1e-9
@@ -240,6 +242,7 @@ def test_criterion_6_central_region(step_sd, desk_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_modulated_region(step_sd, desk_run):
     xi0 = 0.75
     errs = []
@@ -265,6 +268,7 @@ def test_criterion_7_modulated_region(step_sd, desk_run):
     _report(7, f"|q_num - q_asym| decays with fitted exponent {slope:.3f} = -0.5 +- 0.15")
 
 
+@pytest.mark.slow
 def test_criterion_8_transition_profile(step_sd, desk_run):
     tp = transition_params(step_sd)
     assert abs(tp.dA - (-2j * A)) < 1e-6

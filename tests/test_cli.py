@@ -4,6 +4,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nnlstep import StepProfile, cli, q_central, step_spectral
@@ -51,6 +52,33 @@ class TestSpectralCommand:
         header, rows = _read_csv(out / "spectral_data.csv")
         sides = [r[1] for r in rows if abs(float(r[0]) + 0.5) < 1e-12]
         assert sorted(sides) == ["above", "below"]
+
+    def test_csv_cut_rows_match_their_mirrors(self, tmp_path):
+        # 641 samples of tanh 2x + 0.1i sech 3x on [-8, 8].  On the cut
+        # a2_+ = -a1_- and a1_+ = -a2_-; through e^{2w|f|} the first pair
+        # misses by 3e-4.  Its bound is that of b, whose Wronskian cancels
+        # transfer entries of up to 5e5 here.
+        x = np.linspace(-8.0, 8.0, 641)
+        q = np.tanh(2.0 * x) + 0.1j / np.cosh(3.0 * x)
+        initial = tmp_path / "tanh.csv"
+        np.savetxt(initial, np.column_stack([x, q.real, q.imag]), delimiter=",",
+                   header="x,re_q0,im_q0", comments="")
+        out = tmp_path / "cut"
+        args = ["spectral", "--input-csv", str(initial), "--k-grid=-0.5:0.5:4"]
+        assert main(args + ["--out-dir", str(out)]) == 0
+        header, rows = _read_csv(out / "spectral_data.csv")
+
+        def value(row, name):
+            return complex(float(row[header.index("re_" + name)]),
+                           float(row[header.index("im_" + name)]))
+
+        sides = {(r[0], r[1]): r for r in rows}
+        ks = sorted({r[0] for r in rows})
+        assert len(ks) == 4
+        for k in ks:
+            above, below = sides[(k, "above")], sides[(k, "below")]
+            assert abs(value(above, "a2") + value(below, "a1")) < 1e-8
+            assert abs(value(above, "a1") + value(below, "a2")) < 1e-10
 
     def test_bad_grid_is_config_error(self, tmp_path):
         rc = main(["spectral", "--k-grid", "nope", "--out-dir", str(tmp_path / "x")])

@@ -1,6 +1,10 @@
 """Singular quadrature primitives against closed forms and scipy oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from nnlstep import PoleOnContour, StepProfile, ToleranceNotMet, step_spectral
 from nnlstep.quadrature import (
     IntegrandSpec,
     _arg_increment,
+    _unit_level,
     cauchy_semiinfinite,
     cauchy_semiinfinite_pv,
     running_winding,
@@ -23,6 +28,8 @@ from nnlstep.spectral import (
     one_plus_r1r2_ray,
     ray_decay,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestTanhSinh:
@@ -41,6 +48,49 @@ class TestTanhSinh:
     def test_complex_integrand(self):
         val, _ = tanh_sinh(lambda x: np.exp(1j * x), 0.0, 1.0, tol=1e-12)
         assert abs(val - (np.sin(1.0) + 1j * (1 - np.cos(1.0)))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "fn, a, b, tol, expected",
+        [
+            (np.log, 0.0, 1.0, 1e-12, ((-1 + 0j), 1.5143442055887135e-13)),
+            (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-12,
+             ((1.9999999999999998 + 0j), 3.3306690738754696e-15)),
+            (lambda x: np.exp(1j * x), -3.0, 7.5, 1e-12,
+             ((1.0791199848346067 - 1.3366278144354733j), 4.971395729802922e-13)),
+            (lambda t: np.log(t) / np.sqrt(t), 0.0, 1.0, 1e-10,
+             ((-3.9999999999999734 + 0j), 1.0658141036401503e-14)),
+        ],
+        ids=["log", "inverse_sqrt", "exp_ix", "log_over_sqrt"],
+    )
+    def test_values_are_pinned(self, fn, a, b, tol, expected):
+        # Exact values of the rule that builds its nodes and weights per
+        # call; the cached unit data must map to [a, b] in that order.
+        val, err = tanh_sinh(fn, a, b, tol=tol)
+        assert (complex(val), float(err)) == expected
+
+    def test_cold_and_warm_cache_agree(self):
+        def fn(x):
+            return np.log(x) * np.cos(3.0 * x)
+
+        _unit_level.cache_clear()
+        cold = tanh_sinh(fn, 0.0, 2.0, tol=1e-12)
+        warm = tanh_sinh(fn, 0.0, 2.0, tol=1e-12)
+        assert repr(cold) == repr(warm)
+
+    @pytest.mark.parametrize("max_level", [0, 3, 6])
+    def test_cache_holds_the_levels_reached(self, max_level):
+        _unit_level.cache_clear()
+        with pytest.raises(ToleranceNotMet):
+            tanh_sinh(lambda x: np.sin(200.0 * x), 0.0, 10.0, tol=1e-14, max_level=max_level)
+        assert _unit_level.cache_info().currsize == max_level + 1
+        tanh_sinh(np.sin, 0.0, np.pi, tol=1e-12)
+        assert _unit_level.cache_info().currsize <= 15
+
+    def test_nothing_is_built_at_import(self):
+        code = "import nnlstep.quadrature as q; print(q._unit_level.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "0"
 
     @pytest.mark.xfail(
         strict=True,

@@ -133,6 +133,23 @@ class TestStepFormsAgree:
         ref = one_plus_r1r2(sd, s)
         assert abs(vec - ref) <= 1e-10 * abs(ref)
 
+    @settings(max_examples=300)
+    @given(
+        A=st.floats(0.3, 3.0),
+        R=st.floats(-2.0, 2.0),
+        u=st.floats(-15.0, 4.0),
+    )
+    def test_ray_kernel_matches_complex_path(self, A, R, u):
+        # The real-arithmetic ray kernel against 1/(a1 a2) of abc's complex
+        # closed form, from sp = s + A = -A 1e-15 out to |s| = 1e4 A.  sp is
+        # taken back from the rounded s, so that both see one distance to -A.
+        sd = step_spectral(StepProfile(A=A, R=R))
+        s = np.array([-A * 10.0**u - A])
+        a1, a2, _ = sd.abc(s.astype(complex), CutSide.OFF)
+        ref = complex(1.0 / (a1 * a2)[0])
+        vec = complex(1.0 / sd.a1a2_ray(s, s + A)[0])
+        assert abs(vec - ref) <= 1e-13 * abs(ref)
+
 
 class TestSolitonData:
     def test_reciprocal_product(self, soliton_sd):
@@ -233,6 +250,19 @@ class TestJostRoute:
             assert abs(nd.a1(k, CutSide.ABOVE) - sd.a1(k, CutSide.ABOVE)) < 1e-10
         assert abs(nd.gamma_plus - sd.gamma_plus) < 1e-10
         assert abs(nd.gamma_minus - sd.gamma_minus) < 1e-10
+
+    @pytest.mark.parametrize("R", [0.7, -1.0])
+    def test_cut_values_on_a_wide_grid(self, R):
+        # On a grid of width 8 the Wronskians of a2_+ and a1_- would be read
+        # through e^{2w|f|} = e^{15} at k = 0.3 (off by up to 7e-5); the
+        # determinant gives them as accurately as b.
+        prof = StepProfile(A=1.0, R=R)
+        sd = step_spectral(prof)
+        nd = jost_spectral(InitialData(prof.sample, decay_width=8.0), 1.0, [])
+        ks = np.array([-0.9, -0.6, -0.3, 0.3, 0.6, 0.9], dtype=complex)
+        for side in (CutSide.ABOVE, CutSide.BELOW):
+            for got, ref in zip(nd.abc(ks, side), sd.abc(ks, side)):
+                assert np.max(np.abs(got - ref) / np.abs(ref)) < 2e-9
 
     def test_smooth_data_match_dop853(self):
         # The commutator term of Omega only shows on data that vary inside
