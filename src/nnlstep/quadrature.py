@@ -26,6 +26,10 @@ DEFAULT_TOL = 1e-8
 _POLE_GUARD = 1e-8
 _MAX_CELLS = 64
 _T_MAX = 3.8  # tanh-sinh nodes span t in (-_T_MAX, _T_MAX)
+# Blocks (lo, hi) of the rungs T0 4^i, lo <= i <= hi, of the winding tail
+# probe, one integrand call each.  Pair i is (rung i + 1, rung i), so a
+# block shares its last rung with the next and the 20 pairs end at rung 20.
+_PROBE_BLOCKS = ((0, 8), (8, 16), (16, 20))
 
 
 @dataclass(frozen=True)
@@ -71,12 +75,15 @@ def tanh_sinh(fn, a: float, b: float, tol: float = DEFAULT_TOL, max_level: int =
     fine: nodes approach the endpoints double-exponentially and non-finite
     samples (which can only occur within rounding distance of an endpoint)
     are dropped.  The nodes and weights of each level are mapped to [a, b]
-    from the cached unit data of _unit_level.
+    from the cached unit data of _unit_level.  The stop rule cannot fire
+    before level 3, so levels 0 to min(3, max_level) are sampled in one
+    call of fn and every later level in one call each; each level's sum
+    runs over its own nodes only, so the result does not depend on the
+    batching.
     """
     half = 0.5 * (b - a)
 
-    def _sample(level):
-        right, e2u, one_plus, cosh_t, sech2 = _unit_level(level)
+    def _terms(right, e2u, one_plus, cosh_t, sech2):
         # Distance to the nearer endpoint, computed cancellation-free:
         # 1 - tanh|u| = 2 e^{-2|u|} / (1 + e^{-2|u|}) keeps full relative
         # precision where mid + half*tanh(u) would lose all digits.
@@ -86,14 +93,23 @@ def tanh_sinh(fn, a: float, b: float, tol: float = DEFAULT_TOL, max_level: int =
         keep = (x > a) & (x < b) & (wgt > 0)
         vals = np.asarray(fn(x[keep]), dtype=complex)
         vals = np.where(np.isfinite(vals), vals, 0.0)
-        return np.sum(vals * wgt[keep])
+        return keep, vals * wgt[keep]
+
+    # Each level is summed over its own slice of the kept terms: summing
+    # with the dropped nodes zero-filled, or np.add.reduceat, would change
+    # the last bit.
+    head = [_unit_level(level) for level in range(min(3, max_level) + 1)]
+    keep, terms = _terms(*map(np.concatenate, zip(*head)))
+    ends = np.cumsum(keep)[np.cumsum([unit[0].size for unit in head]) - 1]
+    sums = [np.sum(terms[lo:hi]) for lo, hi in zip([0, *ends[:-1]], ends)]
 
     h = 1.0
-    total = prev = _sample(0)
+    total = prev = sums[0]
     err = np.inf
     for level in range(1, max_level + 1):
         h *= 0.5
-        total = 0.5 * prev + _sample(level) * h
+        sample = sums[level] if level < len(sums) else np.sum(_terms(*_unit_level(level))[1])
+        total = 0.5 * prev + sample * h
         err = abs(total - prev)
         if level >= 3 and err < tol:
             return total, err
@@ -218,16 +234,25 @@ def running_winding(gamma: IntegrandSpec, k_end: float, samples: int = 400):
     Returns (grid, cumulative) where cumulative[i] is the total argument
     increment from -inf to grid[i]; the path is assumed to approach a
     positive real limit at -inf (it is normalized so that arg -> 0 there).
-    One vector pass unwinds the samples, bisecting only steps that turn by
-    pi/2 or more; cumsum sums the steps in order.
+    The grid spans [k_end - T, k_end] for the first rung T = T0 4^i of the
+    tail probe whose pair (k_end - 4T, k_end - T) is argument-quiet.  The
+    pairs share their points, so the probe evaluates the ladder in blocks
+    of rungs (_PROBE_BLOCKS), one call each, and stops at the first block
+    holding a quiet pair: no probe point lies beyond 4^8 T.  One vector
+    pass then unwinds the samples, bisecting only steps that turn by pi/2
+    or more; cumsum sums the steps in order.
     """
-    T = max(10.0 * gamma.decay_estimate, 10.0)
-    # Confirm the tail is argument-quiet; extend if not.
-    for _ in range(20):
-        probe = np.asarray(gamma.eval(np.array([k_end - 4 * T, k_end - T])), dtype=complex)
-        if abs(np.angle(probe[1] / probe[0])) < 1e-9 and abs(np.angle(probe[0])) < 0.1:
+    T0 = max(10.0 * gamma.decay_estimate, 10.0)
+    for lo, hi in _PROBE_BLOCKS:
+        rungs = T0 * 4.0 ** np.arange(lo, hi + 1)
+        probe = np.asarray(gamma.eval(k_end - rungs), dtype=complex)
+        # Pair i is (probe[i + 1], probe[i]), far point first.
+        quiet = (np.abs(np.angle(probe[:-1] / probe[1:])) < 1e-9) & (
+            np.abs(np.angle(probe[1:])) < 0.1
+        )
+        if quiet.any():
+            T = float(rungs[np.argmax(quiet)])
             break
-        T *= 4.0
     else:
         raise InconclusiveWinding("path argument does not settle toward -inf")
 

@@ -95,9 +95,10 @@ class SpectralData:
     the boundary value.  The methods a1, a2 and b are its scalar values,
     and ``at`` its values at a list of k; both memoise per object.
     gamma_plus is the norming constant of the k = 0 zero (equal to
-    b_+(0) when b is analytic); a10 is the linear coefficient of a1_+ at
-    k = 0.  a1a2_ray(s, sp=None), when given, is a faster a1(s) a2(s)
-    elementwise on the ray s < -A; sp, when given, is the exact s + A
+    b_+(0) when b is analytic), nan when the Jost route cannot resolve
+    it; a10 is the linear coefficient of a1_+ at k = 0.  a1a2_ray(s,
+    sp=None), when given, is a faster a1(s) a2(s) elementwise on the
+    ray s < -A; sp, when given, is the exact s + A
     (see branches.f_array), so that nodes next to -A keep their distance.
     """
 
@@ -457,7 +458,8 @@ class _Transfer:
 
 
 def _norming_wronskian(data: InitialData, A: float, side: CutSide) -> complex:
-    """det(Psi2_col1, Psi1_col1) at k = 0 on one side of the cut, by DOP853.
+    """det(Psi2_col1, Psi1_col1) at k = 0 on one side of the cut, by DOP853,
+    or nan when it is below 1e-6 |Psi1_col1| |Psi2_col1| and so not resolved.
 
     The two columns are integrated to x = 0 from x = -+L_gamma, just past
     the support of the deviation, where the amplification e^{2 A L_gamma}
@@ -483,7 +485,13 @@ def _norming_wronskian(data: InitialData, A: float, side: CutSide) -> complex:
 
     v1 = integrate(1, -L_gamma)
     v2 = integrate(2, L_gamma)
-    return complex(v2[0] * v1[1] - v2[1] * v1[0])
+    det = complex(v2[0] * v1[1] - v2[1] * v1[0])
+    # The dichotomy amplifies both columns along the growing solution, so
+    # as w grows they turn parallel and their determinant cancels to
+    # rounding noise (exactly 0 for tanh 2x + 0.1i sech 3x at w = 40).
+    if abs(det) < 1e-6 * np.linalg.norm(v1) * np.linalg.norm(v2):
+        return complex("nan")
+    return det
 
 
 def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:

@@ -183,6 +183,21 @@ class TestAsymCommand:
         assert json.loads(capsys.readouterr().err)["kind"] == "precondition"
         assert not (out / "asym.csv").exists()
 
+    def test_unresolved_norming_constant_is_an_error(self, tmp_path, capsys):
+        # tanh 2x + 0.1i sech 3x on [-40, 40]: the k = 0 Jost columns turn
+        # parallel across the wide support and their determinant cancels to
+        # 0, which used to give gamma_+ = 0 and |q| = 1 on the axis.
+        x = np.linspace(-40.0, 40.0, 3201)
+        q = np.tanh(2.0 * x) + 0.1j / np.cosh(3.0 * x)
+        initial = tmp_path / "wide.csv"
+        np.savetxt(initial, np.column_stack([x, q.real, q.imag]), delimiter=",",
+                   header="x,re_q0,im_q0", comments="")
+        out = tmp_path / "axis"
+        args = ["asym", "--input-csv", str(initial), "--x", "1", "--t", "10"]
+        assert main(args + ["--out-dir", str(out)]) == 3
+        assert "gamma_+" in json.loads(capsys.readouterr().err)["message"]
+        assert not (out / "asym.csv").exists()
+
     def test_ray_and_station_together_rejected(self, tmp_path):
         # One run evaluates either rays or stations; both is a usage error
         # rather than a CSV that silently lacks the rays.

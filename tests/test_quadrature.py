@@ -8,9 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nnlstep import PoleOnContour, StepProfile, ToleranceNotMet, step_spectral
+from nnlstep import (
+    InconclusiveWinding,
+    PoleOnContour,
+    StepProfile,
+    ToleranceNotMet,
+    step_spectral,
+)
 from nnlstep.quadrature import (
     IntegrandSpec,
     _arg_increment,
@@ -113,6 +121,101 @@ class TestTanhSinh:
         ref, _ = quad(lambda s: fn(np.array([s]))[0].real, a, b,
                       limit=2000, epsabs=1e-15, epsrel=1e-12)
         assert abs(val - ref) < 1e-9
+
+
+def _per_level_tanh_sinh(fn, a, b, tol, max_level):
+    """Reference rule: one call of fn per level, each level mapped and
+    summed on its own."""
+    half = 0.5 * (b - a)
+
+    def _sample(level):
+        right, e2u, one_plus, cosh_t, sech2 = _unit_level(level)
+        delta = half * 2.0 * e2u / one_plus
+        x = np.where(right, b - delta, a + delta)
+        wgt = half * 0.5 * np.pi * cosh_t * sech2
+        keep = (x > a) & (x < b) & (wgt > 0)
+        vals = np.asarray(fn(x[keep]), dtype=complex)
+        vals = np.where(np.isfinite(vals), vals, 0.0)
+        return np.sum(vals * wgt[keep])
+
+    h = 1.0
+    total = prev = _sample(0)
+    err = np.inf
+    for level in range(1, max_level + 1):
+        h *= 0.5
+        total = 0.5 * prev + _sample(level) * h
+        err = abs(total - prev)
+        if level >= 3 and err < tol:
+            return total, err
+        prev = total
+    if err < 10 * tol:
+        return total, err
+    raise ToleranceNotMet("reference", best=total, error=err)
+
+
+def _outcome(rule, fn, a, b, tol, max_level):
+    """repr of (value, err), or of (best, error) when the rule gives up,
+    and the number of calls of fn."""
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return fn(x)
+
+    try:
+        got = ("ok", rule(counted, a, b, tol=tol, max_level=max_level))
+    except ToleranceNotMet as exc:
+        got = ("raised", (exc.best, exc.error))
+    return repr(got), len(calls)
+
+
+def _flagged(x, a):
+    # inf or NaN on roughly one node in six, anywhere in the cell.
+    phase = np.floor(6.0 * np.abs(np.sin(1e4 * (x - a))))
+    return np.where(phase == 0, np.inf, np.where(phase == 1, np.nan, np.cos(x)))
+
+
+_INTEGRANDS = {
+    "smooth": lambda a: lambda x: np.exp(-x * x) * np.cos(3.0 * x),
+    "log_endpoint": lambda a: lambda x: np.log(x - a),
+    "inverse_sqrt_endpoint": lambda a: lambda x: 1.0 / np.sqrt(x - a),
+    "oscillating": lambda a: lambda x: np.exp(17.0j * x),
+    "inf_and_nan": lambda a: lambda x: _flagged(x, a),
+}
+
+
+class TestBatchedLevels:
+    """Levels 0-3 in one call of fn, later levels one call each: the same
+    nodes and the same sums, bit for bit, as one call per level."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_INTEGRANDS)),
+        a=st.floats(-50.0, 50.0),
+        log_width=st.floats(-6.0, 3.0),
+        tol=st.sampled_from([1e-6, 1e-10, 1e-14]),
+        max_level=st.integers(0, 14),
+    )
+    def test_matches_per_level_loop(self, name, a, log_width, tol, max_level):
+        b = a + 10.0**log_width
+        fn = _INTEGRANDS[name](a)
+        got, calls = _outcome(tanh_sinh, fn, a, b, tol, max_level)
+        want, ref_calls = _outcome(_per_level_tanh_sinh, fn, a, b, tol, max_level)
+        assert got == want
+        # Stopping at level L >= 3 is one call for levels 0-3 plus L - 3.
+        assert calls == max(1, ref_calls - 3)
+
+    @pytest.mark.parametrize("max_level, calls", [(0, 1), (1, 1), (2, 1), (3, 1), (5, 3)])
+    def test_calls_without_convergence(self, max_level, calls):
+        seen = []
+
+        def fn(x):
+            seen.append(x.size)
+            return np.sin(200.0 * x)
+
+        with pytest.raises(ToleranceNotMet):
+            tanh_sinh(fn, 0.0, 10.0, tol=1e-14, max_level=max_level)
+        assert len(seen) == calls
 
 
 class TestSemiInfinite:
@@ -241,6 +344,38 @@ class TestArrayUnwinding:
         assert np.array_equal(grid, ref_grid)
         assert np.array_equal(cum, ref_cum)
 
+    def test_algebraic_tail_needs_a_second_block(self):
+        # arg ((s - z0)/(s - conj z0))^2 decays like 4 Im z0 / |s|: the pair
+        # is quiet only from T ~ 1e7 on, past the first block's 4^8 T0.
+        z0 = -1.5 + 0.002j
+        spec = IntegrandSpec(lambda s: ((s - z0) / (s - np.conj(z0))) ** 2, decay_estimate=1.0)
+        grid, cum = running_winding(spec, -1.0)
+        ref_grid, ref_cum = _sequential_running_winding(spec, -1.0, 400)
+        assert np.array_equal(grid, ref_grid)
+        assert np.array_equal(cum, ref_cum)
+        assert 10.0 * 4**8 < -1.0 - grid[0] < 10.0 * 4**16
+
+    def test_unsettled_path_raises(self):
+        spec = IntegrandSpec(lambda s: -np.ones_like(s, dtype=complex))
+        with pytest.raises(InconclusiveWinding):
+            running_winding(spec, -1.0)
+
+    @pytest.mark.parametrize("R", [-1.0, 0.0, 0.7])
+    @pytest.mark.parametrize("z0", [None, -1.5 + 0.002j])
+    def test_probe_stays_within_4_to_the_8_rungs(self, R, z0):
+        seen = []
+        g = one_plus_r1r2_ray(step_spectral(StepProfile(A=1.0, R=R)))
+
+        def path(s):
+            seen.append(np.asarray(s))
+            vals = g(s)
+            return vals if z0 is None else vals * ((s - z0) / (s - np.conj(z0))) ** 2
+
+        k_end = -2.5
+        grid, _ = running_winding(IntegrandSpec(path, decay_estimate=ray_decay(1.0)), k_end)
+        T = k_end - grid[0]
+        assert np.max(k_end - np.concatenate(seen)) <= 4**8 * T
+
     def test_unresolved_turn_is_bisected(self):
         # The argument climbs by 6 pi over a width of about 0.1 near -1.5,
         # far faster than the sample grid resolves, so steps get bisected.
@@ -252,7 +387,7 @@ class TestArrayUnwinding:
             return np.exp(3j * np.pi * (1.0 + np.tanh((s + 1.5) / 0.03)))
 
         _, cum = running_winding(IntegrandSpec(path, decay_estimate=1.0), -1.0)
-        assert len(calls) > 2  # the probe pair and the batch, then midpoints
+        assert len(calls) > 2  # the probe block and the batch, then midpoints
         assert abs(cum[-1] - 3 * np.pi * (1.0 + np.tanh(0.5 / 0.03))) < 1e-9
 
     @pytest.mark.parametrize("R", [-1.0, 0.0, 0.7, 1.5])

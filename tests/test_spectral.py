@@ -15,6 +15,7 @@ from nnlstep import (
     CutSide,
     DivisionByZeroSpectral,
     InitialData,
+    MissingNormingConstant,
     Source,
     StepProfile,
     check_assumptions,
@@ -24,6 +25,7 @@ from nnlstep import (
     reflection,
     soliton_spectral,
     step_spectral,
+    transition_dA,
 )
 from nnlstep.branches import background_matrix
 from nnlstep.quadrature import IntegrandSpec, running_winding
@@ -297,6 +299,27 @@ class TestJostRoute:
         for k in ks:
             got = (nd.a1(k, CutSide.OFF), nd.a2(k, CutSide.OFF), nd.b(k, CutSide.OFF))
             assert max(abs(g - r) for g, r in zip(got, reference(k))) < 1e-9
+
+    @staticmethod
+    def _wide(w):
+        def sampler(x):
+            return np.tanh(2.0 * x) + 0.1j / np.cosh(3.0 * x)
+
+        return jost_spectral(InitialData(sampler, decay_width=w), 1.0, [])
+
+    def test_norming_constants_do_not_depend_on_width(self):
+        ref, wide = self._wide(10.0), self._wide(20.0)
+        assert abs(wide.gamma_plus - ref.gamma_plus) < 1e-9
+        assert abs(wide.gamma_minus - ref.gamma_minus) < 1e-9
+
+    @pytest.mark.parametrize("w", [32.0, 40.0])
+    def test_unresolved_norming_constant_raises(self, w):
+        # The k = 0 determinant cancels to 2.8e-14 (w = 32) and 0 (w = 40)
+        # of the columns' norms; gamma_+ would be 2.3e-3 off or exactly 0.
+        sd = self._wide(w)
+        assert cmath.isnan(sd.gamma_plus)
+        with pytest.raises(MissingNormingConstant):
+            transition_dA(sd)
 
     def test_conjugate_symmetry(self):
         prof = StepProfile(A=1.0, R=0.5)
