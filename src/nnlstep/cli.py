@@ -165,28 +165,32 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def _spectral_data(q0, A: float, ks=None):
+def _datum(kind: str, A: float, spec: dict):
+    """The step, soliton or sampled datum of one kind; ``spec`` holds its
+    R, phi0 or CSV path."""
+    if kind == "step":
+        return StepProfile(A=A, R=float(spec.get("R", 0.0)))
+    if kind == "soliton":
+        return SolitonSpec(A=A, phi0=float(spec.get("phi0", 0.0)))
+    if kind == "csv":
+        return _load_initial_csv(spec["path"], A)
+    raise CliError("config", f"unknown initial kind {kind!r}", _EXIT_IO)
+
+
+def _flag_datum(args):
+    """The datum named by the source flags shared by subcommands."""
+    kind = "soliton" if args.soliton else "step" if args.input_csv is None else "csv"
+    return _datum(kind, args.A, {"R": args.step_R, "phi0": args.phi0, "path": args.input_csv})
+
+
+def _spectral_data(q0, A: float, ks=()):
     """Scattering data of a pure step, a one-soliton or a sampled datum;
     ``ks`` are the Jost sample points of a sampled datum."""
     if isinstance(q0, StepProfile):
         return step_spectral(q0)
     if isinstance(q0, SolitonSpec):
         return soliton_spectral(A, q0.phi0)
-    if ks is None:
-        ks = np.linspace(1.1 * A, 10 * A, 20)
     return jost_spectral(q0, A, list(ks))
-
-
-def _spectral_source(args):
-    """Build SpectralData from the source flags shared by subcommands."""
-    if args.soliton:
-        q0 = SolitonSpec(A=args.A, phi0=args.phi0)
-    elif args.input_csv is None:
-        q0 = StepProfile(A=args.A, R=args.step_R)
-    else:
-        q0 = _load_initial_csv(args.input_csv, args.A)
-    k_grid = getattr(args, "k_grid", None)  # only `spectral` has --k-grid
-    return _spectral_data(q0, args.A, _parse_grid(k_grid) if k_grid else None)
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -199,9 +203,9 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_spectral(args) -> int:
     out = _out_dir(args)
-    sd = _spectral_source(args)
-    A = sd.A
+    A = args.A
     ks = _parse_grid(args.k_grid) if args.k_grid else np.linspace(1.05 * A, 10 * A, 200)
+    sd = _spectral_data(_flag_datum(args), A, ks)
     rows = []
     for k in ks:
         sides = (CutSide.ABOVE, CutSide.BELOW) if -A < k < A else (CutSide.OFF,)
@@ -250,47 +254,18 @@ def cmd_spectral(args) -> int:
     return _EXIT_OK
 
 
-_MODULATED = (RegionTag.MODULATED_PLUS, RegionTag.MODULATED_MINUS)
-_CENTRAL = (RegionTag.CENTRAL_PLUS, RegionTag.CENTRAL_MINUS)
-
-
-def _ray_profile(sd, family: str | None = None):
-    """Leading-order profile along rays xi = x/(4t): (xi, t) -> (q, params).
-
-    Each ray is classified; a region boundary, or a region outside
-    ``family`` ("modulated" or "central") when one is given, raises
-    RegionMismatch.  Parameters are cached per modulated ray and per
-    central side.
-    """
-    allowed = {"modulated": _MODULATED, "central": _CENTRAL}.get(family, _MODULATED + _CENTRAL)
-    cache = {}
-
-    def profile(xi: float, t: float):
-        region = classify(Direction(xi, sd.A))
-        if region is RegionTag.BOUNDARY:
-            raise RegionMismatch(
-                f"xi={xi} lies exactly on a region boundary (|xi| in {{0, A/2}}); "
-                "no asymptotic formula applies there"
-            )
-        if region not in allowed:
-            raise RegionMismatch(f"xi={xi} lies in {region.value}, outside the {family} sectors")
-        modulated = region in _MODULATED
-        key = round(xi, 12) if modulated else region
-        if key not in cache:
-            cache[key] = (modulated_params if modulated else central_params)(sd, xi)
-        evaluate = q_modulated if modulated else q_central
-        return evaluate(sd, xi, t, params=cache[key]), cache[key]
-
-    return profile
+def _ray_family(central: bool):
+    """(params, profile) of the central or the modulated rays."""
+    return (central_params, q_central) if central else (modulated_params, q_modulated)
 
 
 def cmd_asym(args) -> int:
     out = _out_dir(args)
-    sd = _spectral_source(args)
     ts = _parse_floats(args.t)
     if min(ts) <= 0:
         raise CliError("config", f"bad --t {args.t!r}, every time must be > 0", _EXIT_IO)
     points = _parse_floats(args.x if args.x is not None else args.xi)
+    sd = _spectral_data(_flag_datum(args), args.A)
     rows = []
     if args.x is not None:
         params = transition_params(sd)
@@ -300,12 +275,15 @@ def cmd_asym(args) -> int:
                 rows.append([x, t, q.real, q.imag, abs(q),
                              RegionTag.TRANSITION_AXIS.value, "inf"])
     else:
-        ray = _ray_profile(sd)
+        central = (RegionTag.CENTRAL_PLUS, RegionTag.CENTRAL_MINUS)
         for xi in points:
+            # The family's params refuse every other region, boundaries included.
+            params_at, profile = _ray_family(classify(Direction(xi, sd.A)) in central)
+            p = params_at(sd, xi)
+            exponent = _fmt(p.error_exponent) if np.isfinite(p.error_exponent) else "inf"
             for t in ts:
-                q, p = ray(xi, t)
-                rows.append([4.0 * xi * t, t, q.real, q.imag, abs(q), p.region.value,
-                             _fmt(p.error_exponent) if np.isfinite(p.error_exponent) else "inf"])
+                q = profile(sd, xi, t, params=p)
+                rows.append([4.0 * xi * t, t, q.real, q.imag, abs(q), p.region.value, exponent])
     _write_csv(
         out / "asym.csv",
         ["x", "t", "re_q", "im_q", "abs_q", "region", "error_exponent"],
@@ -337,16 +315,7 @@ def _load_sim_config(path: str):
             t_end=float(cfg["t_end"]),
             record_times=tuple(float(t) for t in cfg.get("record_times", [cfg["t_end"]])),
         )
-        initial = cfg["initial"]
-        kind = initial["kind"]
-        if kind == "step":
-            q0 = StepProfile(A=A, R=float(initial.get("R", 0.0)))
-        elif kind == "soliton":
-            q0 = SolitonSpec(A=A, phi0=float(initial.get("phi0", 0.0)))
-        elif kind == "csv":
-            q0 = _load_initial_csv(initial["path"], A)
-        else:
-            raise CliError("config", f"unknown initial kind {kind!r}", _EXIT_IO)
+        q0 = _datum(cfg["initial"]["kind"], A, cfg["initial"])
         field = init_field(q0, grid)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError("config", f"invalid simulation config: {exc}", _EXIT_IO)
@@ -388,8 +357,12 @@ def cmd_compare(args) -> int:
         params = transition_params(sd)
         predictor = lambda x, t: q_transition(sd, x, t, params=params)
     else:
-        ray = _ray_profile(_spectral_data(q0, A), args.predictor)
-        predictor = lambda x, t: ray(x / (4.0 * t), t)[0]
+        sd = _spectral_data(q0, A)
+        params_at, profile = _ray_family(args.predictor == "central")
+
+        def predictor(x, t):
+            xi = x / (4.0 * t)
+            return profile(sd, xi, t, params=params_at(sd, xi))
 
     snapshots = evolve(field, sim, A)
     table = compare(snapshots, predictor, (lo, hi))

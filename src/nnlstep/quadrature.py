@@ -30,6 +30,7 @@ _T_MAX = 3.8  # tanh-sinh nodes span t in (-_T_MAX, _T_MAX)
 # probe, one integrand call each.  Pair i is (rung i + 1, rung i), so a
 # block shares its last rung with the next and the 20 pairs end at rung 20.
 _PROBE_BLOCKS = ((0, 8), (8, 16), (16, 20))
+_WINDING_SAMPLES = 600  # points of every running_winding grid
 
 
 @dataclass(frozen=True)
@@ -186,29 +187,22 @@ def cauchy_semiinfinite_pv(
 ) -> complex:
     """Principal value of int_{-inf}^{upper} g(z)/(z - x0) dz, x0 interior.
 
-    The symmetric cell [x0-c, x0+c] is regularized by subtracting g(x0)
-    (whose PV contribution over a symmetric cell vanishes); the remaining
-    pieces are pole-free.
+    g(x0) / (1 + (z - x0)^2)^2 is subtracted, so the remainder over z - x0
+    is finite at x0 and one cell walk split at x0 takes it.  The subtracted
+    term adds its closed form: with u = upper - x0,
+    PV int_{-inf}^{u} dw / (w (1 + w^2)^2) = ln u - ln(1 + u^2)/2 + 1/(2(1 + u^2)).
     """
     x0 = float(x0)
     if not x0 < upper - _POLE_GUARD:
         raise PoleOnContour(f"PV point x0={x0} must lie strictly inside (-inf, {upper})")
-    c = min(1.0, 0.5 * (upper - x0))
     g0 = complex(np.asarray(g.eval(np.array([x0])), dtype=complex)[0])
 
-    def regularized(z):
-        return (np.asarray(g.eval(z), dtype=complex) - g0) / (z - x0)
+    def remainder(z):
+        return np.asarray(g.eval(z), dtype=complex) - g0 / (1.0 + (z - x0) ** 2) ** 2
 
-    v1, _ = tanh_sinh(regularized, x0 - c, x0, tol=tol / 4.0)
-    v2, _ = tanh_sinh(regularized, x0, x0 + c, tol=tol / 4.0)
-
-    def plain(z):
-        return np.asarray(g.eval(z), dtype=complex) / (z - x0)
-
-    v3, _ = tanh_sinh(plain, x0 + c, upper, tol=tol / 4.0)
-
-    v4 = cauchy_semiinfinite(g, x0 - c, x0, tol=tol / 4.0)
-    return v1 + v2 + v3 + v4
+    u2 = (upper - x0) ** 2
+    pv = -0.5 * np.log1p(1.0 / u2) + 0.5 / (1.0 + u2)  # ln u - ln(1 + u^2)/2 = -ln(1 + 1/u^2)/2
+    return _ray_cells(IntegrandSpec(remainder, g.decay_estimate), upper, tol, x0) + g0 * pv
 
 
 def _arg_increment(path, lo, hi, v_lo, v_hi, depth=0, max_depth=40):
@@ -228,7 +222,7 @@ def _arg_increment(path, lo, hi, v_lo, v_hi, depth=0, max_depth=40):
     )
 
 
-def running_winding(gamma: IntegrandSpec, k_end: float, samples: int = 400):
+def running_winding(gamma: IntegrandSpec, k_end: float):
     """Cumulative unwound arg of the path gamma over (-inf, k_end].
 
     Returns (grid, cumulative) where cumulative[i] is the total argument
@@ -256,7 +250,7 @@ def running_winding(gamma: IntegrandSpec, k_end: float, samples: int = 400):
     else:
         raise InconclusiveWinding("path argument does not settle toward -inf")
 
-    v = np.linspace(1.0, 0.0, samples)
+    v = np.linspace(1.0, 0.0, _WINDING_SAMPLES)
     grid = k_end - T * v**2  # dense near k_end
     vals = np.asarray(gamma.eval(grid), dtype=complex)
     d = np.angle(vals[1:] / vals[:-1])

@@ -42,7 +42,7 @@ from .quadrature import (
     semiinfinite_integral,
     tanh_sinh,
 )
-from .spectral import RAY_SAMPLES, SpectralData, endpoint_zero, one_plus_r1r2_ray, ray_decay
+from .spectral import SpectralData, endpoint_zero, one_plus_r1r2_ray, ray_decay
 
 _STATION_GUARD = 1e-8
 # Ray integrals meet DEFAULT_TOL; each summed piece of Re F_inf a tenth of it.
@@ -92,7 +92,7 @@ def _unwound_log(gvec, k1: float, decay: float):
     """
     spec = IntegrandSpec(eval=gvec, decay_estimate=decay)
     k_end = k1 - 1e-9 * max(1.0, abs(k1))
-    grid, cum = running_winding(spec, k_end, samples=RAY_SAMPLES)
+    grid, cum = running_winding(spec, k_end)
 
     def log_fn(s):
         s = np.asarray(s, dtype=float)
@@ -343,7 +343,7 @@ class AsymptoticParams:
 def modulated_params(sd: SpectralData, xi: float) -> AsymptoticParams:
     region = classify(Direction(xi, sd.A))
     if region not in (RegionTag.MODULATED_PLUS, RegionTag.MODULATED_MINUS):
-        raise RegionMismatch(f"xi={xi} is not in a modulated sector for A={sd.A}")
+        raise RegionMismatch(f"xi={xi} (A={sd.A}) lies in {region.value}, not a modulated sector")
     k1, _ = critical_points(Direction(abs(xi), sd.A))
     dd = delta_data(sd, k1)  # enforces the winding bound
     F_inf = _F_inf(sd, k1, dd.winding)
@@ -354,14 +354,16 @@ def modulated_params(sd: SpectralData, xi: float) -> AsymptoticParams:
 def central_params(sd: SpectralData, xi: float) -> AsymptoticParams:
     region = classify(Direction(xi, sd.A))
     if region not in (RegionTag.CENTRAL_PLUS, RegionTag.CENTRAL_MINUS):
-        raise RegionMismatch(f"xi={xi} is not in a central sector for A={sd.A}")
+        raise RegionMismatch(f"xi={xi} (A={sd.A}) lies in {region.value}, not a central sector")
     F_inf = F_infinity(sd, -sd.A)
     return AsymptoticParams(region, sd.A, -sd.A, F_inf, math.inf)
 
 
 def transition_params(sd: SpectralData) -> AsymptoticParams:
-    F_inf = F_infinity(sd, -sd.A)
+    # d(A) first: it refuses data without a norming constant before the
+    # F_inf walk, which can be long on coarsely sampled data.
     dA = transition_dA(sd)
+    F_inf = F_infinity(sd, -sd.A)
     return AsymptoticParams(RegionTag.TRANSITION_AXIS, sd.A, -sd.A, F_inf, math.inf, dA)
 
 

@@ -547,9 +547,6 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
 
 _ZERO_A_TOL = 1e-12
 
-# Samples of every running_winding pass along the ray s < -A.
-RAY_SAMPLES = 600
-
 
 def ray_decay(A: float) -> float:
     """Decay scale of the integrands and winding paths on the ray s < -A."""
@@ -696,7 +693,7 @@ def check_assumptions(sd: SpectralData) -> AssumptionReport:
     if sd.source is Source.REFLECTIONLESS_SOLITON:
         notes.append("reflectionless data: 1 + r1 r2 = 1 identically")
     path = IntegrandSpec(eval=one_plus_r1r2_ray(sd), decay_estimate=ray_decay(A))
-    _, cum = running_winding(path, -A * (1.0 + 1e-6), samples=RAY_SAMPLES)
+    _, cum = running_winding(path, -A * (1.0 + 1e-6))
     winding_sup = float(np.max(np.abs(cum)))
     at_minus_A, endpoint_val = endpoint_zero(sd)
 

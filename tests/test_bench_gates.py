@@ -5,6 +5,7 @@ One seeded round of each workload in ``bench/workloads.py``, then its
 benchmark applies to every run.  No timing is taken.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 SEED = 1
@@ -31,3 +33,35 @@ def test_one_round_passes_every_gate(name, tmp_path):
     wl.check(st, rnd)
     assert rnd.failures == {}
     assert wl.final_checks(st).failures == {}
+
+
+@pytest.mark.filterwarnings("ignore:initial datum jumps")
+def test_traced_cli_compare_round(tmp_path):
+    # The traced run sees the CLI's predictor only through the names it
+    # wraps: a predictor routed around nnlstep.cli.modulated_params would
+    # leave the compare spans empty and the balance off.
+    for mod_name, attr, _ in tracing.BOUNDARIES:
+        assert hasattr(importlib.import_module(mod_name), attr), (mod_name, attr)
+    for mod_name in tracing.SPEC_MODULES:
+        assert hasattr(importlib.import_module(mod_name), "IntegrandSpec")
+
+    wl = workloads.WORKLOADS["cli_compare"]
+    rec = tracing.Recorder()
+    api = tracing.traced_api(rec, workloads.plain_api())
+    st = wl.setup(workloads.make_inputs("cli_compare", SEED), api)
+    wl.prepare(st, workloads.load_anchors(), tmp_path / "cli_compare")
+    rec.round = 0
+    with tracing.boundaries(rec):
+        rnd = wl.round(api, st, lambda: 1.0)
+    rec.round = tracing.SETUP_ROUND
+    wl.check(st, rnd)
+    assert rnd.failures == {}
+
+    predictor = [
+        span for span in rec.spans
+        if span[0] == "rh_asymptotics.modulated_params" and span[4] == 0
+        and span[3] >= 0 and rec.spans[span[3]][0] == "nnls_sim.compare"
+    ]
+    assert len(predictor) == 82
+    main, parts = tracing.cli_balance(rec, 0)
+    assert main > 0 and abs(main - parts) <= 1e-9 * main

@@ -11,6 +11,42 @@ from nnlstep import StepProfile, cli, q_central, step_spectral
 from nnlstep.cli import main
 
 
+def _write_tanh_csv(path, half_width, nodes):
+    """tanh 2x + 0.1i sech 3x sampled at ``nodes`` points on [-w, w]."""
+    x = np.linspace(-half_width, half_width, nodes)
+    q = np.tanh(2.0 * x) + 0.1j / np.cosh(3.0 * x)
+    np.savetxt(path, np.column_stack([x, q.real, q.imag]), delimiter=",",
+               header="x,re_q0,im_q0", comments="")
+    return path
+
+
+class _Built(Exception):
+    """Raised by a stub scattering-data builder once it has been called."""
+
+
+@pytest.fixture
+def no_spectral_data(monkeypatch):
+    """Make every scattering-data builder of the CLI fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("scattering data were built before the flags were checked")
+
+    for name in ("step_spectral", "soliton_spectral", "jost_spectral"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.fixture
+def jost_batches(monkeypatch):
+    """The k batches the CLI hands jost_spectral; the stub then stops it."""
+    seen = []
+
+    def recording(data, A, k_samples):
+        seen.append(list(k_samples))
+        raise _Built
+
+    monkeypatch.setattr(cli, "jost_spectral", recording)
+    return seen
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -58,11 +94,7 @@ class TestSpectralCommand:
         # a2_+ = -a1_- and a1_+ = -a2_-; through e^{2w|f|} the first pair
         # misses by 3e-4.  Its bound is that of b, whose Wronskian cancels
         # transfer entries of up to 5e5 here.
-        x = np.linspace(-8.0, 8.0, 641)
-        q = np.tanh(2.0 * x) + 0.1j / np.cosh(3.0 * x)
-        initial = tmp_path / "tanh.csv"
-        np.savetxt(initial, np.column_stack([x, q.real, q.imag]), delimiter=",",
-                   header="x,re_q0,im_q0", comments="")
+        initial = _write_tanh_csv(tmp_path / "tanh.csv", 8.0, 641)
         out = tmp_path / "cut"
         args = ["spectral", "--input-csv", str(initial), "--k-grid=-0.5:0.5:4"]
         assert main(args + ["--out-dir", str(out)]) == 0
@@ -85,11 +117,23 @@ class TestSpectralCommand:
         assert rc == 2
 
     @pytest.mark.parametrize("grid", ["nan:2:3", "1:inf:3", "2:1:3"])
-    def test_non_finite_or_reversed_grid_is_config_error(self, tmp_path, grid, capsys):
+    def test_non_finite_or_reversed_grid_is_config_error(
+        self, tmp_path, grid, capsys, no_spectral_data
+    ):
         out = tmp_path / "x"
         assert main(["spectral", f"--k-grid={grid}", "--out-dir", str(out)]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
         assert not (out / "spectral_data.csv").exists()
+
+    @pytest.mark.parametrize("k_grid", [[], ["--k-grid=-0.5:2:6"]], ids=["default", "given"])
+    def test_jost_batch_is_the_table(self, tmp_path, jost_batches, k_grid):
+        # The table's k are the one batch the Jost data are built with.
+        initial = _write_tanh_csv(tmp_path / "tanh.csv", 8.0, 33)
+        with pytest.raises(_Built):
+            main(["spectral", "--input-csv", str(initial), *k_grid,
+                  "--out-dir", str(tmp_path / "o")])
+        want = np.linspace(-0.5, 2.0, 6) if k_grid else np.linspace(1.05, 10.0, 200)
+        assert jost_batches == [list(want)]
 
     def test_fast_turning_contour_still_reports(self, tmp_path):
         # The a1 contour of this step turns by pi/2 or more between
@@ -126,9 +170,28 @@ class TestAsymCommand:
         assert vals[0.5] == pytest.approx(math.tanh(0.5), abs=1e-6)
         assert vals[-0.5] == pytest.approx(math.tanh(0.5), abs=1e-6)
 
-    def test_boundary_ray_is_region_error(self, tmp_path):
-        rc = main(["asym", "--xi", "0.5", "--t", "10", "--out-dir", str(tmp_path / "b")])
-        assert rc == 3
+    def test_boundary_ray_is_region_error(self, tmp_path, capsys):
+        # The library refuses the ray and names the region it lies in.
+        for xi in ("0.5", "-0.5", "0"):
+            rc = main(["asym", "--xi", xi, "--t", "10", "--out-dir", str(tmp_path / "b")])
+            assert rc == 3
+            assert "Boundary" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_one_params_call_per_ray(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("modulated_params", "central_params"):
+            def counting(sd, xi, _fn=getattr(cli, name), _name=name):
+                calls.append((_name, xi))
+                return _fn(sd, xi)
+
+            monkeypatch.setattr(cli, name, counting)
+        out = tmp_path / "rays"
+        args = ["asym", "--step-R", "-1", "--xi=0.6,-0.9,0.2", "--t", "5,10,20,40"]
+        assert main(args + ["--out-dir", str(out)]) == 0
+        assert calls == [("modulated_params", 0.6), ("modulated_params", -0.9),
+                         ("central_params", 0.2)]
+        assert len(_read_csv(out / "asym.csv")[1]) == 12
+
 
     def test_central_sides_are_kept_apart(self, tmp_path):
         out = tmp_path / "central"
@@ -165,11 +228,23 @@ class TestAsymCommand:
         ],
         ids=["nan_t", "inf_t", "negative_t", "zero_t", "nan_xi", "nan_x", "inf_x"],
     )
-    def test_non_finite_or_non_positive_input_is_config_error(self, tmp_path, where, capsys):
+    def test_non_finite_or_non_positive_input_is_config_error(
+        self, tmp_path, where, capsys, no_spectral_data
+    ):
         out = tmp_path / "bad"
         assert main(["asym"] + where + ["--out-dir", str(out)]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
         assert not (out / "asym.csv").exists()
+
+    @pytest.mark.parametrize("source", ["--soliton", "--input-csv"])
+    def test_bad_time_is_config_error_before_scattering_data(
+        self, tmp_path, source, no_spectral_data
+    ):
+        # Building the Jost data of a 641-node CSV alone takes about 2 s.
+        initial = _write_tanh_csv(tmp_path / "tanh.csv", 8.0, 33)
+        args = [source] if source == "--soliton" else [source, str(initial)]
+        out = tmp_path / "bad"
+        assert main(["asym", *args, "--xi", "0.75", "--t", "-5", "--out-dir", str(out)]) == 2
 
     def test_missing_ray_and_station(self, tmp_path):
         rc = main(["asym", "--t", "10", "--out-dir", str(tmp_path / "m")])
@@ -186,17 +261,16 @@ class TestAsymCommand:
     def test_unresolved_norming_constant_is_an_error(self, tmp_path, capsys):
         # tanh 2x + 0.1i sech 3x on [-40, 40]: the k = 0 Jost columns turn
         # parallel across the wide support and their determinant cancels to
-        # 0, which used to give gamma_+ = 0 and |q| = 1 on the axis.
-        x = np.linspace(-40.0, 40.0, 3201)
-        q = np.tanh(2.0 * x) + 0.1j / np.cosh(3.0 * x)
-        initial = tmp_path / "wide.csv"
-        np.savetxt(initial, np.column_stack([x, q.real, q.imag]), delimiter=",",
-                   header="x,re_q0,im_q0", comments="")
-        out = tmp_path / "axis"
-        args = ["asym", "--input-csv", str(initial), "--x", "1", "--t", "10"]
-        assert main(args + ["--out-dir", str(out)]) == 3
-        assert "gamma_+" in json.loads(capsys.readouterr().err)["message"]
-        assert not (out / "asym.csv").exists()
+        # 0, which used to give gamma_+ = 0 and |q| = 1 on the axis.  At 801
+        # nodes F_inf(-A) walks for about a minute and then fails, so d(A)
+        # has to refuse the data first.
+        for nodes in (3201, 801):
+            initial = _write_tanh_csv(tmp_path / "wide.csv", 40.0, nodes)
+            out = tmp_path / "axis"
+            args = ["asym", "--input-csv", str(initial), "--x", "1", "--t", "10"]
+            assert main(args + ["--out-dir", str(out)]) == 3
+            assert "gamma_+" in json.loads(capsys.readouterr().err)["message"]
+            assert not (out / "asym.csv").exists()
 
     def test_ray_and_station_together_rejected(self, tmp_path):
         # One run evaluates either rays or stations; both is a usage error
@@ -389,6 +463,29 @@ class TestSimulateAndCompare:
         path.write_text(json.dumps(cfg))
         rc = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
         assert rc == 4
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["asym", "--xi", "0.9"], ["asym", "--x", "1"],
+     ["compare", "--predictor", "modulated"], ["compare", "--predictor", "transition"]],
+    ids=["asym_ray", "asym_station", "compare_modulated", "compare_transition"],
+)
+def test_csv_rays_build_jost_data_without_a_table(tmp_path, jost_batches, command):
+    # Only `spectral` tabulates k; the rays need no Jost batch.
+    initial = _write_tanh_csv(tmp_path / "tanh.csv", 4.0, 33)
+    if command[0] == "asym":
+        args = command + ["--input-csv", str(initial), "--t", "10"]
+    else:
+        config = tmp_path / "csv.json"
+        config.write_text(json.dumps({
+            "A": 1.0, "L": 5.0, "N": 50, "dt": 0.002, "t_end": 0.01,
+            "initial": {"kind": "csv", "path": str(initial)},
+        }))
+        args = command + ["--config", str(config), "--window", "2:3"]
+    with pytest.raises(_Built):
+        main(args + ["--out-dir", str(tmp_path / "o")])
+    assert jost_batches == [[]]
 
 
 @pytest.mark.parametrize("command", ["spectral", "asym", "compare"])

@@ -20,6 +20,7 @@ from nnlstep import (
     step_spectral,
 )
 from nnlstep.quadrature import (
+    _WINDING_SAMPLES,
     IntegrandSpec,
     _arg_increment,
     _unit_level,
@@ -30,7 +31,6 @@ from nnlstep.quadrature import (
     tanh_sinh,
 )
 from nnlstep.spectral import (
-    RAY_SAMPLES,
     CutSide,
     _closed_contour_winding,
     one_plus_r1r2_ray,
@@ -238,13 +238,27 @@ class TestSemiInfinite:
             cauchy_semiinfinite(spec, 0.0, -1.0 + 1e-10j)
 
     def test_principal_value_vs_quad(self):
-        x0 = -2.0
-        g = lambda z: np.exp(-((z - x0) ** 2))
-        spec = IntegrandSpec(g, decay_estimate=2.0)
+        for x0 in (-2.0, -0.3, -30.0):
+            g = lambda z: np.exp(-((z - x0) ** 2))
+            spec = IntegrandSpec(g, decay_estimate=2.0)
+            got = cauchy_semiinfinite_pv(spec, 0.0, x0, tol=1e-10)
+            # scipy computes PV int g(z)/(z - x0) via weight='cauchy'
+            ref, _ = quad(g, x0 - 40.0, 0.0, weight="cauchy", wvar=x0, limit=400)
+            assert abs(got - ref) < 1e-8
+
+    @pytest.mark.parametrize("x0", [-2.0, -0.3, -30.0])
+    def test_principal_value_with_log_singularity_at_upper(self, x0):
+        # ln(-z) e^z has an integrable log singularity at upper = 0.  The
+        # reference takes [x0 - 60, x0/2] with quad's Cauchy weight and
+        # [x0/2, 0], in w = -z, with its log weight ln(w) on [0, -x0/2].
+        g = lambda z: np.log(-z) * np.exp(z)
+        spec = IntegrandSpec(g, decay_estimate=1.0)
         got = cauchy_semiinfinite_pv(spec, 0.0, x0, tol=1e-10)
-        # scipy computes PV int g(z)/(z - x0) via weight='cauchy'
-        ref, _ = quad(g, -40.0, 0.0, weight="cauchy", wvar=x0, limit=400)
-        assert abs(got - ref) < 1e-8
+        mid = 0.5 * x0
+        head, _ = quad(g, x0 - 60.0, mid, weight="cauchy", wvar=x0, limit=400)
+        tail, _ = quad(lambda w: np.exp(-w) / (w + x0), 0.0, -mid, weight="alg-loga",
+                       wvar=(0.0, 0.0), limit=400)
+        assert abs(got - (head - tail)) < 1e-8
 
     def test_pv_point_must_be_interior(self):
         spec = IntegrandSpec(lambda z: np.exp(z))
@@ -339,8 +353,8 @@ class TestArrayUnwinding:
     def test_matches_sequential_loop_bitwise(self, R, k_end):
         sd = step_spectral(StepProfile(A=1.0, R=R))
         spec = IntegrandSpec(one_plus_r1r2_ray(sd), decay_estimate=ray_decay(1.0))
-        grid, cum = running_winding(spec, k_end, samples=RAY_SAMPLES)
-        ref_grid, ref_cum = _sequential_running_winding(spec, k_end, RAY_SAMPLES)
+        grid, cum = running_winding(spec, k_end)
+        ref_grid, ref_cum = _sequential_running_winding(spec, k_end, _WINDING_SAMPLES)
         assert np.array_equal(grid, ref_grid)
         assert np.array_equal(cum, ref_cum)
 
@@ -350,7 +364,7 @@ class TestArrayUnwinding:
         z0 = -1.5 + 0.002j
         spec = IntegrandSpec(lambda s: ((s - z0) / (s - np.conj(z0))) ** 2, decay_estimate=1.0)
         grid, cum = running_winding(spec, -1.0)
-        ref_grid, ref_cum = _sequential_running_winding(spec, -1.0, 400)
+        ref_grid, ref_cum = _sequential_running_winding(spec, -1.0, _WINDING_SAMPLES)
         assert np.array_equal(grid, ref_grid)
         assert np.array_equal(cum, ref_cum)
         assert 10.0 * 4**8 < -1.0 - grid[0] < 10.0 * 4**16

@@ -1,6 +1,7 @@
 """Riemann-Hilbert quantities: delta, F, d(A), and the profile evaluators."""
 
 import cmath
+import dataclasses
 import gc
 import inspect
 import math
@@ -19,6 +20,7 @@ from nnlstep import (
     F_infinity,
     F_plus_at_zero,
     InitialData,
+    MissingNormingConstant,
     RegionMismatch,
     RegionTag,
     SingularStation,
@@ -258,6 +260,22 @@ class TestProfiles:
             q = q_transition(step_sd, x, t, params=tp)
             assert abs(q - plane * math.tanh(x)) < 1e-6
 
+    def test_transition_refuses_missing_gamma_before_F_inf(self, step_sd, monkeypatch):
+        # d(A) comes first, so data without gamma_+ never start the F_inf walk.
+        def no_F_inf(*args):
+            raise AssertionError("F_infinity ran before gamma_+ was checked")
+
+        monkeypatch.setattr(rh, "F_infinity", no_F_inf)
+        sd = dataclasses.replace(step_sd, gamma_plus=complex("nan"))
+        with pytest.raises(MissingNormingConstant):
+            transition_params(sd)
+
+    @pytest.mark.parametrize("xi", [0.0, 0.5, -0.5], ids=["axis", "edge", "minus_edge"])
+    def test_boundary_ray_mismatch_names_the_region(self, step_sd, xi):
+        for params in (modulated_params, central_params):
+            with pytest.raises(RegionMismatch, match="Boundary"):
+                params(step_sd, xi)
+
     def test_transition_limits_match_central_constants(self, step_sd):
         tp = transition_params(step_sd)
         t = 4.0
@@ -330,7 +348,7 @@ def _walker_F_inf(sd, k1, tol=1e-8):
     g = one_plus_r1r2_ray(sd)
     decay = max(1.0, 2.0 * A)
     k_end = k1 - 1e-9 * max(1.0, abs(k1))
-    grid, cum = running_winding(IntegrandSpec(g, decay), k_end, samples=600)
+    grid, cum = running_winding(IntegrandSpec(g, decay), k_end)
 
     def re(t):
         s = t - A

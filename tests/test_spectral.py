@@ -421,7 +421,7 @@ class TestAssumptionReport:
                             dtype=complex)
 
         path = IntegrandSpec(eval=scalar, decay_estimate=max(1.0, 2.0 * A))
-        _, cum = running_winding(path, -A * (1.0 + 1e-6), samples=600)
+        _, cum = running_winding(path, -A * (1.0 + 1e-6))
         probe = one_plus_r1r2(sd, -A * (1.0 + 1e-8))
         ref = one_plus_r1r2(sd, -2.0 * A)
         rep = check_assumptions(sd)
