@@ -206,20 +206,35 @@ def cauchy_semiinfinite_pv(
 
 
 def _arg_increment(path, lo, hi, v_lo, v_hi, depth=0, max_depth=40):
-    """Unwound argument increment of path() from lo to hi, refining where
-    adjacent samples jump by pi/2 or more."""
+    """Unwound argument increment of path() from lo to hi, real or complex,
+    refining where adjacent samples jump by pi/2 or more."""
     d = np.angle(v_hi / v_lo)
     if abs(d) < 0.5 * np.pi:
         return d
-    if depth >= max_depth or (hi - lo) < 1e-13 * max(1.0, abs(hi), abs(lo)):
+    if depth >= max_depth or abs(hi - lo) < 1e-13 * max(1.0, abs(hi), abs(lo)):
         raise InconclusiveWinding(
             f"argument jump {d:.3f} >= pi/2 between {lo} and {hi} at max refinement"
         )
     mid = 0.5 * (lo + hi)
     v_mid = complex(np.asarray(path(np.array([mid])), dtype=complex)[0])
+    if not np.isfinite(v_mid):
+        raise InconclusiveWinding(f"non-finite path sample at {mid}")
     return _arg_increment(path, lo, mid, v_lo, v_mid, depth + 1, max_depth) + _arg_increment(
         path, mid, hi, v_mid, v_hi, depth + 1, max_depth
     )
+
+
+def unwound_steps(path, nodes: np.ndarray):
+    """(vals, steps): path at the real or complex nodes and the angles of
+    neighbouring ratios, bisecting steps that turn by pi/2 or more.  A
+    non-finite sample, whose NaN would pass that test, raises."""
+    vals = np.asarray(path(nodes), dtype=complex)
+    if not np.isfinite(vals).all():
+        raise InconclusiveWinding(f"non-finite path sample at {nodes[~np.isfinite(vals)][0]}")
+    d = np.angle(vals[1:] / vals[:-1])
+    for i in np.flatnonzero(np.abs(d) >= 0.5 * np.pi):
+        d[i] = _arg_increment(path, nodes[i], nodes[i + 1], vals[i], vals[i + 1])
+    return vals, d
 
 
 def running_winding(gamma: IntegrandSpec, k_end: float):
@@ -232,9 +247,9 @@ def running_winding(gamma: IntegrandSpec, k_end: float):
     tail probe whose pair (k_end - 4T, k_end - T) is argument-quiet.  The
     pairs share their points, so the probe evaluates the ladder in blocks
     of rungs (_PROBE_BLOCKS), one call each, and stops at the first block
-    holding a quiet pair: no probe point lies beyond 4^8 T.  One vector
-    pass then unwinds the samples, bisecting only steps that turn by pi/2
-    or more; cumsum sums the steps in order.
+    holding a quiet pair: no probe point lies beyond 4^8 T.  One
+    unwound_steps pass then unwinds the samples; cumsum sums the steps in
+    order.
     """
     T0 = max(10.0 * gamma.decay_estimate, 10.0)
     for lo, hi in _PROBE_BLOCKS:
@@ -252,9 +267,6 @@ def running_winding(gamma: IntegrandSpec, k_end: float):
 
     v = np.linspace(1.0, 0.0, _WINDING_SAMPLES)
     grid = k_end - T * v**2  # dense near k_end
-    vals = np.asarray(gamma.eval(grid), dtype=complex)
-    d = np.angle(vals[1:] / vals[:-1])
-    for i in np.flatnonzero(np.abs(d) >= 0.5 * np.pi):
-        d[i] = _arg_increment(gamma.eval, grid[i], grid[i + 1], vals[i], vals[i + 1])
+    vals, d = unwound_steps(gamma.eval, grid)
     # arg(vals[0]) is small by the tail check above.
     return grid, np.cumsum(np.concatenate([[np.angle(vals[0])], d]))

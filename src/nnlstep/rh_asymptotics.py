@@ -309,8 +309,8 @@ def F_plus_at_zero(sd: SpectralData, dd: DeltaData) -> complex:
 def transition_dA(sd: SpectralData) -> complex:
     """Transition constant d(A) = gamma_+ F_+^2(0,-A) / (a10 delta^2(0,-A)),
     memoised per spectral data object for its lifetime."""
-    gamma = sd.gamma_plus
-    if gamma is None or (isinstance(gamma, complex) and cmath.isnan(gamma)):
+    gamma = complex(sd.gamma_plus())
+    if cmath.isnan(gamma):
         raise MissingNormingConstant("spectral data has no norming constant gamma_+")
     if sd.a10 is None or sd.a10 == 0 or cmath.isnan(complex(sd.a10)):
         raise MissingNormingConstant("spectral data has no valid a10 coefficient")
@@ -319,7 +319,7 @@ def transition_dA(sd: SpectralData) -> complex:
         dd = delta_data(sd, -sd.A)
         Fp0 = F_plus_at_zero(sd, dd)
         d0 = dd.delta_at(0.0)
-        table.dA = complex(gamma) * Fp0**2 / (complex(sd.a10) * d0**2)
+        table.dA = gamma * Fp0**2 / (complex(sd.a10) * d0**2)
     return table.dA
 
 

@@ -2,7 +2,7 @@
 
 The direct problem maps initial data q0 to the spectral functions
 (a1, a2, b), their cut boundary values, the zero coefficient a10 of
-a1+ at k = 0, and the norming constants gamma_+/-.  Each source is one
+a1+ at k = 0, and the norming constant gamma_+.  Each source is one
 vector evaluator abc(k, side) of (a1, a2, b) on an array of k:
 
 * closed forms for the pure asymmetric step q0 = -A for x < R, +A for
@@ -11,7 +11,7 @@ vector evaluator abc(k, side) of (a1, a2, b) on an array of k:
 * the Jost solutions of a sampled step-like datum: exact background
   solutions outside the deviation's support and a 4th-order Magnus
   transfer matrix across it, on a cell grid built from the sampler (an
-  ODE solver only for the norming constants at k = 0).
+  ODE solver only for the norming constant at k = 0, on first use).
 
 A source may also give a faster product a1 a2 on the ray s < -A, which
 the quadratures of the asymptotic layer evaluate.  The closed forms and
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -32,7 +33,7 @@ from scipy.integrate import solve_ivp
 
 from .branches import CutSide, background_matrix, f, fw_array, h_array
 from .errors import DivisionByZeroSpectral, OdeToleranceFailure
-from .quadrature import IntegrandSpec, _arg_increment, running_winding
+from .quadrature import IntegrandSpec, running_winding, unwound_steps
 
 
 class Source(enum.Enum):
@@ -94,19 +95,18 @@ class SpectralData:
     all off the cut (-A, A) with side OFF or all on it with the side of
     the boundary value.  The methods a1, a2 and b are its scalar values,
     and ``at`` its values at a list of k; both memoise per object.
-    gamma_plus is the norming constant of the k = 0 zero (equal to
-    b_+(0) when b is analytic), nan when the Jost route cannot resolve
-    it; a10 is the linear coefficient of a1_+ at k = 0.  a1a2_ray(s,
-    sp=None), when given, is a faster a1(s) a2(s) elementwise on the
-    ray s < -A; sp, when given, is the exact s + A
-    (see branches.f_array), so that nodes next to -A keep their distance.
+    gamma_plus() gives the norming constant of the k = 0 zero (b_+(0)
+    when b is analytic), nan when the Jost route cannot resolve it; only
+    d(A) calls it.  a10 is the linear coefficient of a1_+ at k = 0.
+    a1a2_ray(s, sp=None), when given, is a faster a1(s) a2(s) elementwise
+    on the ray s < -A; sp, when given, is the exact s + A (see
+    branches.f_array), so that nodes next to -A keep their distance.
     """
 
     A: float
     abc: Callable[[np.ndarray, CutSide], tuple[np.ndarray, np.ndarray, np.ndarray]]
     a10: complex
-    gamma_plus: complex
-    gamma_minus: complex
+    gamma_plus: Callable[[], complex]
     source: Source
     a1a2_ray: Callable[..., np.ndarray] | None = None
 
@@ -217,8 +217,7 @@ def step_spectral(profile: StepProfile) -> SpectralData:
         A=A,
         abc=abc,
         a10=a10,
-        gamma_plus=gamma,
-        gamma_minus=gamma,
+        gamma_plus=lambda: gamma,
         source=Source.CLOSED_FORM_STEP,
         a1a2_ray=lambda s, sp=None: _step_a1a2_vec(s, A, R, sp),
     )
@@ -245,8 +244,7 @@ def soliton_spectral(A: float, phi0: float) -> SpectralData:
         A=A,
         abc=abc,
         a10=-1j / (2 * A),
-        gamma_plus=gamma,
-        gamma_minus=gamma,
+        gamma_plus=lambda: gamma,
         source=Source.REFLECTIONLESS_SOLITON,
         a1a2_ray=lambda s, sp=None: np.ones(np.shape(s), dtype=complex),
     )
@@ -457,17 +455,18 @@ class _Transfer:
         return det / a2, a2, b
 
 
-def _norming_wronskian(data: InitialData, A: float, side: CutSide) -> complex:
-    """det(Psi2_col1, Psi1_col1) at k = 0 on one side of the cut, by DOP853,
-    or nan when it is below 1e-6 |Psi1_col1| |Psi2_col1| and so not resolved.
-
-    The two columns are integrated to x = 0 from x = -+L_gamma, just past
-    the support of the deviation, where the amplification e^{2 A L_gamma}
-    of the k = 0 dichotomy stays benign.  The factor e^{-ixf} is removed
-    analytically: v = Psi_col1 e^{ixf} solves v' = (-ik s3 + U(x) + if) v.
+def _norming_wronskian(data: InitialData, A: float) -> complex:
+    """gamma_+ = det(Psi2_col1, Psi1_col1) at k = 0 above the cut (b_+(0),
+    as b extends analytically), or nan below 1e-6 |Psi1_col1| |Psi2_col1|,
+    where it is not resolved.  At k = 0 the Jost systems have a real
+    dichotomy with rate 2A, across which a transfer product loses the
+    subdominant coefficient; so DOP853 integrates the two columns to x = 0
+    from x = -+L_gamma, just past the deviation's support, where the
+    amplification e^{2 A L_gamma} stays benign, with the factor e^{-ixf}
+    removed: v = Psi_col1 e^{ixf} solves v' = (-ik s3 + U(x) + if) v.
     """
     L_gamma = data.decay_width + 2.0 / A
-    fk = f(0.0, A, side)
+    fk = f(0.0, A, CutSide.ABOVE)
 
     def fun(x, y):
         q = complex(data.sampler(x))
@@ -476,7 +475,7 @@ def _norming_wronskian(data: InitialData, A: float, side: CutSide) -> complex:
 
     def integrate(j, x0):
         sol = solve_ivp(
-            fun, (x0, 0.0), background_matrix(j, 0.0, A, side)[:, 0],
+            fun, (x0, 0.0), background_matrix(j, 0.0, A, CutSide.ABOVE)[:, 0],
             method="DOP853", rtol=_ODE_TOL, atol=_ODE_TOL,
         )
         if not sol.success:
@@ -504,6 +503,7 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     fit points are evaluated in one batch per side and memoised; any
     other k costs one more transfer product.  On the ray, a1a2_ray is the
     same product with f and w formed from the exact s + A when given.
+    A build is transfer products only: gamma_plus solves on first call.
     """
     tr = _Transfer(data)
 
@@ -521,19 +521,11 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     _tabulate(memo, abc, [k for k in k_samples if k not in on_cut], CutSide.OFF)
     above = _tabulate(memo, abc, on_cut + list(_FIT_KS * A), CutSide.ABOVE)
     _, a10, _ = _fit_small_k([v[0] for v in above[len(on_cut):]], A)
-
-    # Norming constants from the k = 0 boundary values: for exponentially
-    # decaying deviations b extends analytically and gamma_+ = b_+(0),
-    # gamma_- = -conj(b_-(0)). At k = 0 the Jost systems have a real
-    # exponential dichotomy with rate 2A, and a transfer product across
-    # [-w, w] loses the subdominant coefficient, so these two come from
-    # an ODE solver.
     sd = SpectralData(
         A=A,
         abc=abc,
         a10=a10,
-        gamma_plus=_norming_wronskian(data, A, CutSide.ABOVE),
-        gamma_minus=-np.conj(_norming_wronskian(data, A, CutSide.BELOW)),
+        gamma_plus=functools.cache(lambda: _norming_wronskian(data, A)),
         source=Source.NUMERIC_JOST,
         a1a2_ray=a1a2_ray,
     )
@@ -643,8 +635,8 @@ class AssumptionReport:
 def _closed_contour_winding(a1, A: float) -> float:
     """Total argument increment of the vector a1 along a closed rectangle
     in the upper half plane enclosing the zero-free region claimed by the
-    assumptions.  One vector pass unwinds the samples, bisecting only steps
-    that turn by pi/2 or more, as on the ray; cumsum sums them in order."""
+    assumptions, unwound by unwound_steps as on the ray; cumsum sums the
+    steps in order (np.sum would pair them and change the last bit)."""
     eps = 0.02 * A
     big = 12.0 * A
     top = 8.0 * A
@@ -653,11 +645,7 @@ def _closed_contour_winding(a1, A: float) -> float:
     pts = np.concatenate(
         [z0 + (z1 - z0) * s for z0, z1 in zip(corners[:-1], corners[1:])] + [corners[-1:]]
     )
-    vals = a1(pts)
-    d = np.angle(vals[1:] / vals[:-1])
-    for i in np.flatnonzero(np.abs(d) >= 0.5 * np.pi):
-        z0, dz = pts[i], pts[i + 1] - pts[i]
-        d[i] = _arg_increment(lambda u: a1(z0 + dz * u), 0.0, 1.0, vals[i], vals[i + 1])
+    _, d = unwound_steps(a1, pts)
     return float(np.cumsum(d)[-1])
 
 

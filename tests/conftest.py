@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import settings
 
-from nnlstep import StepProfile, soliton_spectral, step_spectral
+from nnlstep import StepProfile, soliton_spectral, spectral, step_spectral
 
 # Reproducible property tests: fixed draws, no example database, no timing
 # limit (some draws run a quadrature).
@@ -21,3 +21,16 @@ def step_sd():
 def soliton_sd():
     """Reflectionless one-soliton scattering data, phi0 = 0."""
     return soliton_spectral(1.0, 0.0)
+
+
+@pytest.fixture
+def ode_solves(monkeypatch):
+    """The solve_ivp calls made through nnlstep.spectral during the test."""
+    calls = []
+
+    def counted(*args, _solve=spectral.solve_ivp, **kwargs):
+        calls.append(args[1])
+        return _solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "solve_ivp", counted)
+    return calls

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import nnlstep
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
@@ -65,3 +67,27 @@ def test_traced_cli_compare_round(tmp_path):
     assert len(predictor) == 82
     main, parts = tracing.cli_balance(rec, 0)
     assert main > 0 and abs(main - parts) <= 1e-9 * main
+
+
+def test_traced_jost_table_round_solves_no_ode(tmp_path):
+    # The traced layer still sees nnlstep.spectral.solve_ivp: the round
+    # builds and reads its data without it, and d(A) on those data makes
+    # the two k = 0 norming solves.
+    wl = workloads.WORKLOADS["jost_table"]
+    rec = tracing.Recorder()
+    api = tracing.traced_api(rec, workloads.plain_api())
+    st = wl.setup(workloads.make_inputs("jost_table", SEED), api)
+    wl.prepare(st, workloads.load_anchors(), tmp_path / "jost_table")
+    with tracing.boundaries(rec):
+        rec.round = 0
+        rnd = wl.round(api, st, lambda: 1.0)
+        rec.round = 1
+        nnlstep.transition_dA(rnd.output[0])
+    rec.round = tracing.SETUP_ROUND
+    wl.check(st, rnd)
+    assert rnd.failures == {}
+
+    def solves(rnd_id):
+        return sum(1 for span in rec.spans if span[0] == "spectral.solve_ivp" and span[4] == rnd_id)
+
+    assert (solves(0), solves(1)) == (0, 2)

@@ -258,19 +258,31 @@ class TestAsymCommand:
         assert json.loads(capsys.readouterr().err)["kind"] == "precondition"
         assert not (out / "asym.csv").exists()
 
-    def test_unresolved_norming_constant_is_an_error(self, tmp_path, capsys):
+    def test_unresolved_norming_constant_is_an_error(self, tmp_path, capsys, ode_solves):
         # tanh 2x + 0.1i sech 3x on [-40, 40]: the k = 0 Jost columns turn
         # parallel across the wide support and their determinant cancels to
         # 0, which used to give gamma_+ = 0 and |q| = 1 on the axis.  At 801
         # nodes F_inf(-A) walks for about a minute and then fails, so d(A)
-        # has to refuse the data first.
+        # has to refuse the data first.  A station's d(A) makes the two
+        # k = 0 solves.
         for nodes in (3201, 801):
             initial = _write_tanh_csv(tmp_path / "wide.csv", 40.0, nodes)
             out = tmp_path / "axis"
             args = ["asym", "--input-csv", str(initial), "--x", "1", "--t", "10"]
+            ode_solves.clear()
             assert main(args + ["--out-dir", str(out)]) == 3
             assert "gamma_+" in json.loads(capsys.readouterr().err)["message"]
             assert not (out / "asym.csv").exists()
+            assert len(ode_solves) == 2
+
+    def test_csv_table_and_ray_solve_no_ode(self, tmp_path, ode_solves):
+        # Only d(A) reads gamma_+, so neither the table nor a ray of a CSV
+        # datum integrates the k = 0 columns.
+        initial = _write_tanh_csv(tmp_path / "tanh.csv", 8.0, 641)
+        assert main(["spectral", "--input-csv", str(initial), "--out-dir", str(tmp_path / "s")]) == 0
+        args = ["asym", "--input-csv", str(initial), "--xi", "0.75", "--t", "10"]
+        assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
+        assert ode_solves == []
 
     def test_ray_and_station_together_rejected(self, tmp_path):
         # One run evaluates either rays or stations; both is a usage error

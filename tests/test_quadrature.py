@@ -369,6 +369,25 @@ class TestArrayUnwinding:
         assert np.array_equal(cum, ref_cum)
         assert 10.0 * 4**8 < -1.0 - grid[0] < 10.0 * 4**16
 
+    def test_non_finite_sample_raises(self):
+        # NaN fails the pi/2 test, so a NaN sample would be summed into
+        # every later cumulative argument; a NaN midpoint would be bisected
+        # without end.  The NaN comes from np.where, so no warning fires.
+        def path(s):
+            s = np.asarray(s, dtype=float)
+            return np.where(np.abs(s + 3.0) < 0.01, np.nan, 1.0 + 0.5j * np.exp(-((s + 3.0) ** 2)))
+
+        with pytest.raises(InconclusiveWinding, match="non-finite"):
+            running_winding(IntegrandSpec(path, decay_estimate=1.0), -1.5)
+        with pytest.raises(InconclusiveWinding, match="non-finite"):
+            _arg_increment(path, -3.5, -2.5, 1.0 + 0j, -1.0 + 0j)
+
+        def a1(z):
+            return np.where(np.abs(z - (12.0 + 4.0j)) < 0.05, np.nan, z + 2.0j)
+
+        with pytest.raises(InconclusiveWinding, match="non-finite"):
+            _closed_contour_winding(a1, 1.0)
+
     def test_unsettled_path_raises(self):
         spec = IntegrandSpec(lambda s: -np.ones_like(s, dtype=complex))
         with pytest.raises(InconclusiveWinding):

@@ -152,7 +152,7 @@ class TestDelta:
 
         sd = SpectralData(
             A=1.0, abc=abc, a10=-1j,
-            gamma_plus=-1.0, gamma_minus=-1.0, source=Source.NUMERIC_JOST,
+            gamma_plus=lambda: -1.0, source=Source.NUMERIC_JOST,
         )
         with pytest.raises(WindingOutOfRange):
             delta_data(sd, -1.5)
@@ -214,7 +214,7 @@ class TestF:
         assert F_infinity(sd, -1.0) == 0j and F_infinity(sd, -1.7) == 0j
         dd = delta_data(sd, -1.0)
         assert F_at(sd, dd, 0.5 + 0.3j) == 1.0 and F_at(sd, dd, 0.2, CutSide.ABOVE) == 1.0
-        assert transition_dA(sd) == sd.gamma_plus / sd.a10
+        assert transition_dA(sd) == sd.gamma_plus() / sd.a10
 
 
 class TestProfiles:
@@ -266,7 +266,7 @@ class TestProfiles:
             raise AssertionError("F_infinity ran before gamma_+ was checked")
 
         monkeypatch.setattr(rh, "F_infinity", no_F_inf)
-        sd = dataclasses.replace(step_sd, gamma_plus=complex("nan"))
+        sd = dataclasses.replace(step_sd, gamma_plus=lambda: complex("nan"))
         with pytest.raises(MissingNormingConstant):
             transition_params(sd)
 
