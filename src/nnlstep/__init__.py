@@ -15,7 +15,6 @@ from .errors import (
     InconclusiveWinding,
     MissingNormingConstant,
     NnlstepError,
-    OdeToleranceFailure,
     PoleOnContour,
     RegionMismatch,
     SingularStation,

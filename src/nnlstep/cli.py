@@ -24,7 +24,6 @@ from .errors import (
     BlowupDetected,
     InconclusiveWinding,
     NnlstepError,
-    OdeToleranceFailure,
     PoleOnContour,
     RegionMismatch,
     SingularStation,
@@ -61,10 +60,9 @@ _EXIT_TOLERANCE = 5
 
 
 class CliError(Exception):
-    def __init__(self, kind: str, message: str, exit_code: int):
+    def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
-        self.exit_code = exit_code
 
 
 def _fmt(v: float) -> str:
@@ -96,7 +94,7 @@ def _out_dir(args) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise CliError("io", f"cannot create output directory: {exc}", _EXIT_IO)
+        raise CliError("io", f"cannot create output directory: {exc}")
     return out
 
 
@@ -105,9 +103,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
-        raise CliError("config", f"bad --k-grid {spec!r}, expected lo:hi:n", _EXIT_IO)
+        raise CliError("config", f"bad --k-grid {spec!r}, expected lo:hi:n")
     if n < 1 or not (np.isfinite([lo, hi]).all() and lo < hi):
-        raise CliError("config", f"bad --k-grid {spec!r}", _EXIT_IO)
+        raise CliError("config", f"bad --k-grid {spec!r}")
     return np.linspace(lo, hi, n)
 
 
@@ -117,14 +115,14 @@ def _parse_floats(spec: str) -> list[float]:
     except ValueError:
         values = []
     if not values or not np.isfinite(values).all():
-        raise CliError("config", f"bad numeric list {spec!r}", _EXIT_IO)
+        raise CliError("config", f"bad numeric list {spec!r}")
     return values
 
 
 def _load_initial_csv(path: str, A: float) -> InitialData:
     p = Path(path)
     if not p.is_file():
-        raise CliError("io", f"input CSV not found: {path}", _EXIT_IO)
+        raise CliError("io", f"input CSV not found: {path}")
     xs, res, ims = [], [], []
     with p.open() as fh:
         reader = csv.reader(fh)
@@ -132,17 +130,17 @@ def _load_initial_csv(path: str, A: float) -> InitialData:
             if i == 0 and any(not _is_number(c) for c in row):
                 continue  # header
             if len(row) < 3:
-                raise CliError("io", f"row {i} of {path} has fewer than 3 columns", _EXIT_IO)
+                raise CliError("io", f"row {i} of {path} has fewer than 3 columns")
             try:
                 xs.append(float(row[0]))
                 res.append(float(row[1]))
                 ims.append(float(row[2]))
             except ValueError:
-                raise CliError("config", f"row {i} of {path} is not numeric", _EXIT_IO)
+                raise CliError("config", f"row {i} of {path} is not numeric")
     if len(xs) < 2:
-        raise CliError("io", f"{path} contains fewer than 2 samples", _EXIT_IO)
+        raise CliError("io", f"{path} contains fewer than 2 samples")
     if not np.all(np.isfinite([xs, res, ims])):
-        raise CliError("io", f"{path} contains a non-finite value", _EXIT_IO)
+        raise CliError("io", f"{path} contains a non-finite value")
     xs_a = np.asarray(xs)
     order = np.argsort(xs_a)
     xs_a, res_a, ims_a = xs_a[order], np.asarray(res)[order], np.asarray(ims)[order]
@@ -174,7 +172,7 @@ def _datum(kind: str, A: float, spec: dict):
         return SolitonSpec(A=A, phi0=float(spec.get("phi0", 0.0)))
     if kind == "csv":
         return _load_initial_csv(spec["path"], A)
-    raise CliError("config", f"unknown initial kind {kind!r}", _EXIT_IO)
+    raise CliError("config", f"unknown initial kind {kind!r}")
 
 
 def _flag_datum(args):
@@ -263,7 +261,7 @@ def cmd_asym(args) -> int:
     out = _out_dir(args)
     ts = _parse_floats(args.t)
     if min(ts) <= 0:
-        raise CliError("config", f"bad --t {args.t!r}, every time must be > 0", _EXIT_IO)
+        raise CliError("config", f"bad --t {args.t!r}, every time must be > 0")
     points = _parse_floats(args.x if args.x is not None else args.xi)
     sd = _spectral_data(_flag_datum(args), args.A)
     rows = []
@@ -302,11 +300,11 @@ def cmd_asym(args) -> int:
 def _load_sim_config(path: str):
     p = Path(path)
     if not p.is_file():
-        raise CliError("io", f"config not found: {path}", _EXIT_IO)
+        raise CliError("io", f"config not found: {path}")
     try:
         cfg = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise CliError("config", f"bad JSON in {path}: {exc}", _EXIT_IO)
+        raise CliError("config", f"bad JSON in {path}: {exc}")
     try:
         A = float(cfg["A"])
         grid = Grid(L=float(cfg["L"]), N=int(cfg["N"]))
@@ -318,7 +316,7 @@ def _load_sim_config(path: str):
         q0 = _datum(cfg["initial"]["kind"], A, cfg["initial"])
         field = init_field(q0, grid)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError("config", f"invalid simulation config: {exc}", _EXIT_IO)
+        raise CliError("config", f"invalid simulation config: {exc}")
     return A, sim, q0, field
 
 
@@ -345,9 +343,9 @@ def cmd_compare(args) -> int:
     try:
         lo, hi = (float(s) for s in args.window.split(":"))
     except ValueError:
-        raise CliError("config", f"bad --window {args.window!r}, expected lo:hi", _EXIT_IO)
+        raise CliError("config", f"bad --window {args.window!r}, expected lo:hi")
     if not (np.isfinite([lo, hi]).all() and lo < hi):
-        raise CliError("config", f"bad --window {args.window!r}, need finite lo < hi", _EXIT_IO)
+        raise CliError("config", f"bad --window {args.window!r}, need finite lo < hi")
 
     if args.predictor == "soliton":
         phi0 = q0.phi0 if isinstance(q0, SolitonSpec) else 0.0
@@ -419,7 +417,7 @@ _ERROR_MAP = [
     ((BlowupDetected,), "blowup", _EXIT_BLOWUP),
     ((RegionMismatch, SingularStation, SolitonPole, WindingOutOfRange,
       BranchPointError, BranchDomainError, PoleOnContour), "region", _EXIT_REGION),
-    ((ToleranceNotMet, OdeToleranceFailure, InconclusiveWinding), "tolerance", _EXIT_TOLERANCE),
+    ((ToleranceNotMet, InconclusiveWinding), "tolerance", _EXIT_TOLERANCE),
     ((NnlstepError,), "error", _EXIT_REGION),
 ]
 
@@ -442,7 +440,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         _emit_error(exc.kind, str(exc))
-        return exc.exit_code
+        return _EXIT_IO
     except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
         _emit_error("io", str(exc))
         return _EXIT_IO

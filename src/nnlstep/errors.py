@@ -17,10 +17,6 @@ class BranchPointProximity(BranchPointError):
     """Vector evaluation of scattering data requested exactly at ±A."""
 
 
-class OdeToleranceFailure(NnlstepError):
-    """The adaptive ODE integrator could not meet the requested tolerance."""
-
-
 class DivisionByZeroSpectral(NnlstepError):
     """Reflection coefficient requested where a_j is (numerically) zero."""
 

@@ -88,6 +88,8 @@ class SimConfig:
             raise ValueError("dt must be nonnegative")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
+        if self.dt == 0 and self.t_end > 0:
+            raise ValueError(f"dt = 0 never reaches t_end = {self.t_end}")
         for rt in self.record_times:
             if not (math.isfinite(rt) and 0 <= rt <= self.t_end):
                 raise ValueError(f"record time {rt} outside [0, t_end={self.t_end}]")

@@ -91,7 +91,7 @@ def tanh_sinh(fn, a: float, b: float, tol: float = DEFAULT_TOL, max_level: int =
         delta = half * 2.0 * e2u / one_plus
         x = np.where(right, b - delta, a + delta)
         wgt = half * 0.5 * np.pi * cosh_t * sech2
-        keep = (x > a) & (x < b) & (wgt > 0)
+        keep = (x > a) & (x < b)
         vals = np.asarray(fn(x[keep]), dtype=complex)
         vals = np.where(np.isfinite(vals), vals, 0.0)
         return keep, vals * wgt[keep]

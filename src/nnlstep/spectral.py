@@ -10,8 +10,8 @@ vector evaluator abc(k, side) of (a1, a2, b) on an array of k:
 * reflectionless one-soliton data,
 * the Jost solutions of a sampled step-like datum: exact background
   solutions outside the deviation's support and a 4th-order Magnus
-  transfer matrix across it, on a cell grid built from the sampler (an
-  ODE solver only for the norming constant at k = 0, on first use).
+  transfer matrix across it, on a cell grid built from the sampler,
+  whose cells also carry the norming constant at k = 0 on first use.
 
 A source may also give a faster product a1 a2 on the ray s < -A, which
 the quadratures of the asymptotic layer evaluate.  The closed forms and
@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# Unused here; kept while the bench tracer wraps nnlstep.spectral.solve_ivp.
+from scipy.integrate import solve_ivp  # noqa: F401
 
-from .branches import CutSide, background_matrix, f, fw_array, h_array
-from .errors import DivisionByZeroSpectral, OdeToleranceFailure
+from .branches import CutSide, background_matrix, fw_array, h_array
+from .errors import DivisionByZeroSpectral
 from .quadrature import IntegrandSpec, running_winding, unwound_steps
 
 
@@ -254,7 +255,6 @@ def soliton_spectral(A: float, phi0: float) -> SpectralData:
 # numerical Jost route
 # ---------------------------------------------------------------------------
 
-_ODE_TOL = 1e-12
 # A cell of the transfer grid is bisected while its width times the
 # midpoint misfit of the cubic through its edge and Gauss samples exceeds
 # _CELL_TOL, the error budget of one cell.  First cells, and cells merged
@@ -394,7 +394,9 @@ class _Transfer:
         chunks = np.array_split(k, max(1, math.ceil(k.size * self.ih.size / _CHUNK)))
         return tuple(np.concatenate(t) for t in zip(*map(self._product, chunks)))
 
-    def _product(self, k: np.ndarray):
+    def cells(self, k: np.ndarray):
+        """exp(Omega) of every cell at each k as its entries (m11, m12, m21,
+        m22), each of shape (len(k), cells) with the cells in x order."""
         ikh = k[:, None] * self.ih
         alpha = self.d - ikh
         beta = self.bs - ikh * self.bd
@@ -412,7 +414,10 @@ class _Transfer:
             ch[big] = 0.5 * (ep + em)
             shc[big] = 0.5 * (ep - em) / om
         sa = shc * alpha
-        m = (ch + sa, shc * beta, shc * gamma, ch - sa)
+        return ch + sa, shc * beta, shc * gamma, ch - sa
+
+    def _product(self, k: np.ndarray):
+        m = self.cells(k)
         # Ordered product M_{n-1} ... M_0 by pairwise reduction.
         while m[0].shape[1] > 1:
             n = m[0].shape[1] // 2 * 2
@@ -455,40 +460,30 @@ class _Transfer:
         return det / a2, a2, b
 
 
-def _norming_wronskian(data: InitialData, A: float) -> complex:
+def _norming_wronskian(tr: _Transfer, A: float) -> complex:
     """gamma_+ = det(Psi2_col1, Psi1_col1) at k = 0 above the cut (b_+(0),
     as b extends analytically), or nan below 1e-6 |Psi1_col1| |Psi2_col1|,
     where it is not resolved.  At k = 0 the Jost systems have a real
-    dichotomy with rate 2A, across which a transfer product loses the
-    subdominant coefficient; so DOP853 integrates the two columns to x = 0
-    from x = -+L_gamma, just past the deviation's support, where the
-    amplification e^{2 A L_gamma} stays benign, with the factor e^{-ixf}
-    removed: v = Psi_col1 e^{ixf} solves v' = (-ik s3 + U(x) + if) v.
+    dichotomy with rate 2A, across which a product of the cells loses the
+    subdominant coefficient; so the cells carry the background columns
+    from -+w to x = 0 one at a time, each rounding error staying relative
+    to the column carried.  The factor e^{-ixf} is removed: across a cell
+    of width h, v = Psi_col1 e^{ixf} gains e^{-+Ah}, as f = iA.
     """
-    L_gamma = data.decay_width + 2.0 / A
-    fk = f(0.0, A, CutSide.ABOVE)
-
-    def fun(x, y):
-        q = complex(data.sampler(x))
-        qm = complex(data.sampler(-x))
-        return [1j * fk * y[0] + q * y[1], -np.conj(qm) * y[0] + 1j * fk * y[1]]
-
-    def integrate(j, x0):
-        sol = solve_ivp(
-            fun, (x0, 0.0), background_matrix(j, 0.0, A, CutSide.ABOVE)[:, 0],
-            method="DOP853", rtol=_ODE_TOL, atol=_ODE_TOL,
-        )
-        if not sol.success:
-            raise OdeToleranceFailure(f"Jost integration failed at k=0: {sol.message}")
-        return sol.y[:, -1]
-
-    v1 = integrate(1, -L_gamma)
-    v2 = integrate(2, L_gamma)
-    det = complex(v2[0] * v1[1] - v2[1] * v1[0])
+    m11, m12, m21, m22 = (m[0].tolist() for m in tr.cells(np.zeros(1)))
+    scale = np.exp(-A * tr.ih.imag).tolist()
+    n = len(scale) // 2  # the left cells come first
+    x1, y1 = background_matrix(1, 0.0, A, CutSide.ABOVE)[:, 0].tolist()
+    for j in range(n):
+        x1, y1 = (m11[j] * x1 + m12[j] * y1) * scale[j], (m21[j] * x1 + m22[j] * y1) * scale[j]
+    x2, y2 = background_matrix(2, 0.0, A, CutSide.ABOVE)[:, 0].tolist()
+    for j in reversed(range(n, len(scale))):  # exp(-Omega) is the adjugate, as tr Omega = 0
+        x2, y2 = (m22[j] * x2 - m12[j] * y2) / scale[j], (m11[j] * y2 - m21[j] * x2) / scale[j]
+    det = x2 * y1 - y2 * x1
     # The dichotomy amplifies both columns along the growing solution, so
     # as w grows they turn parallel and their determinant cancels to
-    # rounding noise (exactly 0 for tanh 2x + 0.1i sech 3x at w = 40).
-    if abs(det) < 1e-6 * np.linalg.norm(v1) * np.linalg.norm(v2):
+    # rounding noise.
+    if abs(det) < 1e-6 * np.linalg.norm([x1, y1]) * np.linalg.norm([x2, y2]):
         return complex("nan")
     return det
 
@@ -503,7 +498,8 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     fit points are evaluated in one batch per side and memoised; any
     other k costs one more transfer product.  On the ray, a1a2_ray is the
     same product with f and w formed from the exact s + A when given.
-    A build is transfer products only: gamma_plus solves on first call.
+    A build is transfer products only: gamma_plus sweeps the cells at
+    k = 0 on its first call (_norming_wronskian).
     """
     tr = _Transfer(data)
 
@@ -525,7 +521,7 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
         A=A,
         abc=abc,
         a10=a10,
-        gamma_plus=functools.cache(lambda: _norming_wronskian(data, A)),
+        gamma_plus=functools.cache(lambda: _norming_wronskian(tr, A)),
         source=Source.NUMERIC_JOST,
         a1a2_ray=a1a2_ray,
     )

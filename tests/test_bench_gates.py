@@ -71,8 +71,8 @@ def test_traced_cli_compare_round(tmp_path):
 
 def test_traced_jost_table_round_solves_no_ode(tmp_path):
     # The traced layer still sees nnlstep.spectral.solve_ivp: the round
-    # builds and reads its data without it, and d(A) on those data makes
-    # the two k = 0 norming solves.
+    # builds and reads its data without it, and d(A) on those data solves
+    # no ODE either, as the k = 0 norming constant sweeps the transfer cells.
     wl = workloads.WORKLOADS["jost_table"]
     rec = tracing.Recorder()
     api = tracing.traced_api(rec, workloads.plain_api())
@@ -90,4 +90,4 @@ def test_traced_jost_table_round_solves_no_ode(tmp_path):
     def solves(rnd_id):
         return sum(1 for span in rec.spans if span[0] == "spectral.solve_ivp" and span[4] == rnd_id)
 
-    assert (solves(0), solves(1)) == (0, 2)
+    assert (solves(0), solves(1)) == (0, 0)

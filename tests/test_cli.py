@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from nnlstep import StepProfile, cli, q_central, step_spectral
+from nnlstep import StepProfile, cli, jost_spectral, q_central, step_spectral
 from nnlstep.cli import main
 
 
@@ -263,8 +263,7 @@ class TestAsymCommand:
         # parallel across the wide support and their determinant cancels to
         # 0, which used to give gamma_+ = 0 and |q| = 1 on the axis.  At 801
         # nodes F_inf(-A) walks for about a minute and then fails, so d(A)
-        # has to refuse the data first.  A station's d(A) makes the two
-        # k = 0 solves.
+        # has to refuse the data first, and it solves no ODE to do so.
         for nodes in (3201, 801):
             initial = _write_tanh_csv(tmp_path / "wide.csv", 40.0, nodes)
             out = tmp_path / "axis"
@@ -273,7 +272,7 @@ class TestAsymCommand:
             assert main(args + ["--out-dir", str(out)]) == 3
             assert "gamma_+" in json.loads(capsys.readouterr().err)["message"]
             assert not (out / "asym.csv").exists()
-            assert len(ode_solves) == 2
+            assert ode_solves == []
 
     def test_csv_table_and_ray_solve_no_ode(self, tmp_path, ode_solves):
         # Only d(A) reads gamma_+, so neither the table nor a ray of a CSV
@@ -283,6 +282,16 @@ class TestAsymCommand:
         args = ["asym", "--input-csv", str(initial), "--xi", "0.75", "--t", "10"]
         assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
         assert ode_solves == []
+
+    def test_csv_norming_constant_does_not_depend_on_width(self, tmp_path):
+        # The same datum, tabulated on [-8, 8] and on [-20, 20] at the same
+        # spacing, is one datum past |x| = 12 where it equals +-A.
+        gammas = [
+            jost_spectral(cli._load_initial_csv(str(path), 1.0), 1.0, []).gamma_plus()
+            for path in (_write_tanh_csv(tmp_path / "narrow.csv", 8.0, 641),
+                         _write_tanh_csv(tmp_path / "wide.csv", 20.0, 1601))
+        ]
+        assert abs(gammas[0] - gammas[1]) < 1e-10
 
     def test_ray_and_station_together_rejected(self, tmp_path):
         # One run evaluates either rays or stations; both is a usage error
@@ -425,10 +434,11 @@ class TestSimulateAndCompare:
 
     @pytest.mark.parametrize(
         "times",
-        [{"t_end": -0.1}, {"t_end": float("nan")}, {"record_times": [0.05, 0.2]}],
-        ids=["negative_t_end", "nan_t_end", "record_past_t_end"],
+        [{"t_end": -0.1}, {"t_end": float("nan")}, {"record_times": [0.05, 0.2]},
+         {"dt": 0.0}],
+        ids=["negative_t_end", "nan_t_end", "record_past_t_end", "zero_dt"],
     )
-    def test_bad_times_are_config_errors(self, tmp_path, times):
+    def test_bad_times_are_config_errors(self, tmp_path, times, capsys):
         cfg = {
             "A": 1.0, "L": 10.0, "N": 200, "dt": 0.002, "t_end": 0.1,
             "initial": {"kind": "soliton"},
@@ -438,6 +448,7 @@ class TestSimulateAndCompare:
         path.write_text(json.dumps(cfg))
         rc = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
     def test_missing_config_is_io_error(self, tmp_path):
         rc = main(

@@ -53,6 +53,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=0.001, t_end=t_end)
 
+    def test_zero_dt_rejected_when_time_passes(self):
+        # evolve would return the t = 0 snapshot alone for t_end = 10.
+        with pytest.raises(ValueError):
+            SimConfig(dt=0.0, t_end=10.0, record_times=(5.0, 10.0))
+        SimConfig(dt=0.0, t_end=0.0)
+
     @pytest.mark.parametrize("rt", [-0.01, 1.01, float("nan"), float("inf")])
     def test_record_time_outside_run_rejected(self, rt):
         with pytest.raises(ValueError):

@@ -24,12 +24,27 @@ from nnlstep import (
     jost_spectral,
     reflection,
     soliton_spectral,
+    spectral,
     step_spectral,
     transition_dA,
+    w,
 )
 from nnlstep.branches import background_matrix
 from nnlstep.quadrature import IntegrandSpec, running_winding
 from nnlstep.spectral import _FIT_KS, _Transfer, one_plus_r1r2, one_plus_r1r2_ray
+
+
+@pytest.fixture
+def norming_sweeps(monkeypatch):
+    """The k = 0 norming sweeps made during the test."""
+    calls = []
+
+    def counted(*args, _sweep=spectral._norming_wronskian):
+        calls.append(args)
+        return _sweep(*args)
+
+    monkeypatch.setattr(spectral, "_norming_wronskian", counted)
+    return calls
 
 
 def _det_relation(sd, k):
@@ -104,6 +119,24 @@ class TestStepClosedForm:
         for k in (sign * A * (1.0 + 10.0**u), A * complex(*upper_k)):
             for fn in (sd.a1, sd.a2):
                 assert np.conj(fn(-np.conj(k), CutSide.OFF)) == pytest.approx(fn(k, CutSide.OFF))
+
+    @settings(max_examples=100)
+    @given(A=st.floats(0.3, 3.0), R=st.floats(-2.0, 2.0),
+           u=st.floats(-0.98, 0.98, exclude_min=True, exclude_max=True))
+    def test_boundary_values_are_nontangential_limits(self, A, R, u):
+        # f, w and (a1, a2, b) on either side of the cut are the limits of
+        # their values at x +- i eps; (a1, a2, b) grow like e^{4 |R| A}, so
+        # their gap is relative to their size.
+        sd = step_spectral(StepProfile(A=A, R=R))
+        x, eps = u * A, 1e-9 * A
+        for sign, side in ((1.0, CutSide.ABOVE), (-1.0, CutSide.BELOW)):
+            k = complex(x, sign * eps)
+            assert abs(f(k, A) - f(x, A, side)) < 1e-6
+            assert abs(w(k, A) - w(x, A, side)) < 1e-6
+            near = sd.abc(np.array([k]), CutSide.OFF)
+            on = sd.abc(np.array([x], dtype=complex), side)
+            for got, ref in zip(near, on):
+                assert abs(got[0] - ref[0]) < 1e-6 * max(1.0, abs(ref[0]))
 
     def test_a10_and_norming_constants(self):
         sd = step_spectral(StepProfile(A=2.0, R=0.0))
@@ -261,7 +294,7 @@ class TestJostRoute:
                 assert abs(fn_n(k, CutSide.OFF) - fn_c(k, CutSide.OFF)) < 1e-10
         for k in _FIT_KS:
             assert abs(nd.a1(k, CutSide.ABOVE) - sd.a1(k, CutSide.ABOVE)) < 1e-10
-        assert abs(nd.gamma_plus() - sd.gamma_plus()) < 1e-10
+        assert abs(nd.gamma_plus() + math.cos(2.0 * R)) < 1e-13
 
     @pytest.mark.parametrize("R", [0.7, -1.0])
     def test_cut_values_on_a_wide_grid(self, R):
@@ -311,39 +344,43 @@ class TestJostRoute:
             assert max(abs(g - r) for g, r in zip(got, reference(k))) < 1e-9
 
     @staticmethod
-    def _wide(w):
+    def _wide(width):
         def sampler(x):
             return np.tanh(2.0 * x) + 0.1j / np.cosh(3.0 * x)
 
-        return jost_spectral(InitialData(sampler, decay_width=w), 1.0, [])
+        return jost_spectral(InitialData(sampler, decay_width=width), 1.0, [])
 
     def test_norming_constants_do_not_depend_on_width(self):
-        ref, wide = self._wide(10.0), self._wide(20.0)
-        assert abs(wide.gamma_plus() - ref.gamma_plus()) < 1e-9
+        ref = self._wide(10.0).gamma_plus()
+        for width in (20.0, 24.0):
+            assert abs(self._wide(width).gamma_plus() - ref) < 1e-10
 
-    @pytest.mark.parametrize("w", [32.0, 40.0])
-    def test_unresolved_norming_constant_raises(self, w, ode_solves):
-        # The k = 0 determinant cancels to 2.8e-14 (w = 32) and 0 (w = 40)
-        # of the columns' norms; gamma_+ would be 2.3e-3 off or exactly 0.
-        # The refusal is kept: asking again raises without solving again.
-        sd = self._wide(w)
+    @pytest.mark.parametrize("width", [28.0, 32.0, 40.0])
+    def test_unresolved_norming_constant_raises(self, width, norming_sweeps, ode_solves):
+        # Past w = 24 the k = 0 columns turn parallel and their determinant
+        # cancels below 1e-6 of the columns' norms.  The refusal is kept:
+        # asking again raises without sweeping again.
+        sd = self._wide(width)
+        assert norming_sweeps == []
         for _ in range(2):
             with pytest.raises(MissingNormingConstant):
                 transition_dA(sd)
-        assert len(ode_solves) == 2
+        assert len(norming_sweeps) == 1
         assert cmath.isnan(sd.gamma_plus())
+        assert ode_solves == []
 
-    def test_norming_solves_run_on_first_use(self, ode_solves):
-        # A build is transfer products only; the first d(A) integrates the
-        # two k = 0 columns and later calls reuse the Wronskian.
+    def test_norming_solves_run_on_first_use(self, norming_sweeps, ode_solves):
+        # A build is transfer products only; the first d(A) sweeps the two
+        # k = 0 columns and later calls reuse the Wronskian.
         prof = StepProfile(A=1.0, R=0.3)
         nd = jost_spectral(InitialData(prof.sample, decay_width=1.0), 1.0, [1.3, -1.3])
         reflection(nd, 1.3)
-        assert ode_solves == []
+        assert norming_sweeps == []
         dA = transition_dA(nd)
-        assert len(ode_solves) == 2
+        assert len(norming_sweeps) == 1
         assert transition_dA(nd) == dA and nd.gamma_plus() == nd.gamma_plus()
-        assert len(ode_solves) == 2
+        assert len(norming_sweeps) == 1
+        assert ode_solves == []
 
     def test_conjugate_symmetry(self):
         prof = StepProfile(A=1.0, R=0.5)
