@@ -248,7 +248,7 @@ def evolve(fld: Field, cfg: SimConfig, A: float) -> list[Field]:
         n_steps = int(round(cfg.t_end / cfg.dt))
         record_steps = sorted({int(round(rt / cfg.dt)) for rt in cfg.record_times})
     else:
-        n_steps, record_steps = 0, [0]
+        n_steps, record_steps = 0, [0] if cfg.record_times else []
     q = np.array(fld.values, dtype=complex)
     t = fld.t
     snapshots: list[Field] = []

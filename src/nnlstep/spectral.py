@@ -21,6 +21,7 @@ cross-validation used by the test suite.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import enum
 import functools
@@ -267,12 +268,6 @@ _NODES = np.array([-1.0, -2.0 * _GAUSS, 2.0 * _GAUSS, 1.0])  # edges and Gauss p
 _CHUNK = 1 << 14  # k values times cells per vectorised pass
 
 
-def _sample(sampler, x: np.ndarray) -> np.ndarray:
-    """Rows q(x) and q(-x), one sampler call per point."""
-    xs = np.concatenate([x, -x])
-    return np.array([complex(sampler(float(t))) for t in xs], dtype=complex).reshape(2, -1)
-
-
 def _lagrange(t: np.ndarray) -> np.ndarray:
     """Cubic Lagrange basis on _NODES at t (in half widths from the midpoint),
     shape (4, len(t))."""
@@ -282,7 +277,7 @@ def _lagrange(t: np.ndarray) -> np.ndarray:
     ])
 
 
-_MID = _lagrange(np.zeros(1))[:, 0]  # the cubic's value at the midpoint
+_MID = _lagrange(np.zeros(1))[:, 0].tolist()  # the cubic's value at the midpoint
 
 
 def _half_cells(data: InitialData):
@@ -290,54 +285,65 @@ def _half_cells(data: InitialData):
 
     Bisection ends a jump in a cell of width about _CELL_TOL / |jump| and a
     kink in one of width about sqrt(_CELL_TOL / |slope jump|), each inside
-    a chain of ever smaller cells; _coarsen merges the chains back.  Returns
-    the widths and the samples (2, 2, n) = (x / -x, Gauss point, cell) of
-    the cells in the order of x.
+    a chain of ever smaller cells; _coarsen merges the chains back.  Cells
+    are tested one by one in floats, depth first, so a level costs only its
+    sampler calls.  Returns the widths and the samples (2, 2, n) =
+    (x / -x, Gauss point, cell) of the cells in the order of x.
     """
-    w = data.decay_width
-    edges = np.linspace(0.0, w, math.ceil(w / _CELL_WIDTH) + 1)
-    qe = _sample(data.sampler, edges)
-    a, b, qa, qb = edges[:-1], edges[1:], qe[:, :-1], qe[:, 1:]
+    w, s = data.decay_width, data.sampler
+    m0, m1, m2, m3 = _MID
     floor = 8.0 * np.finfo(float).eps * w
-    done = []
-    while a.size:
+    x = np.linspace(0.0, w, math.ceil(w / _CELL_WIDTH) + 1).tolist()
+    qe = [(s(t), s(-t)) for t in x]
+    todo = [(x[n], x[n + 1], *qe[n], *qe[n + 1]) for n in reversed(range(len(x) - 1))]
+    cells = []
+    while todo:
+        a, b, pa, ra, pb, rb = todo.pop()
         h = b - a
         c = a + 0.5 * h
-        x = np.concatenate([c - _GAUSS * h, c + _GAUSS * h, c])
-        q1, q2, qc = _sample(data.sampler, x).reshape(2, 3, -1).transpose(1, 0, 2)
-        fit = np.tensordot(np.stack([qa, q1, q2, qb]), _MID, axes=(0, 0))
-        split = (h * np.max(np.abs(qc - fit), axis=0) > _CELL_TOL) & (h > floor)
-        keep = ~split
-        qg = np.stack([q1, q2], axis=1)
-        done.append((a[keep], b[keep], qa[:, keep], qb[:, keep], qg[:, :, keep]))
-        a, b = np.concatenate([a[split], c[split]]), np.concatenate([c[split], b[split]])
-        qa = np.concatenate([qa[:, split], qc[:, split]], axis=1)
-        qb = np.concatenate([qc[:, split], qb[:, split]], axis=1)
-    lo, hi, qa, qb, qg = (np.concatenate(part, axis=-1) for part in zip(*done))
-    order = np.argsort(lo)
-    return _coarsen(data.sampler, lo[order], hi[order], qa[:, order], qb[:, order], qg[..., order])
+        x1, x2 = c - _GAUSS * h, c + _GAUSS * h
+        p1, p2, pc, r1, r2, rc = s(x1), s(x2), s(c), s(-x1), s(-x2), s(-c)
+        misfit = max(abs(pc - (m0 * pa + m1 * p1 + m2 * p2 + m3 * pb)),
+                     abs(rc - (m0 * ra + m1 * r1 + m2 * r2 + m3 * rb)))
+        if h * misfit > _CELL_TOL and h > floor:
+            todo += [(c, b, pc, rc, pb, rb), (a, c, pa, ra, pc, rc)]
+        else:
+            cells.append((a, b, pa, ra, pb, rb, p1, r1, p2, r2))
+    lo, hi, *q = zip(*cells)
+    q = np.array(q, dtype=complex).reshape(4, 2, -1)  # (edges, Gauss points), x / -x, cell
+    return _coarsen(s, np.array(lo), np.array(hi), q[0], q[1], q[2:].transpose(1, 0, 2))
 
 
 def _coarsen(sampler, lo, hi, qa, qb, qg):
     """Merge runs of adjacent cells, no wider than _CELL_WIDTH, while the
     cubic through the run's edge and Gauss samples meets the bisection's
-    rule at every Gauss point of the cells it replaces."""
+    rule at every Gauss point of the cells it replaces.  A run from cell i
+    gallops to i+1, i+2, i+4, ..., then bisects at the first failure."""
     gx = (0.5 * (lo + hi))[:, None] + np.outer(hi - lo, [-_GAUSS, _GAUSS])
+    lo, hi = lo.tolist(), hi.tolist()
+
+    def merged(i, j):
+        """Gauss samples of the cell merged from cells i..j, or None."""
+        h = hi[j] - lo[i]
+        c = lo[i] + 0.5 * h
+        x1, x2 = c - _GAUSS * h, c + _GAUSS * h
+        qn = np.array([[sampler(x1), sampler(x2)], [sampler(-x1), sampler(-x2)]], dtype=complex)
+        t = (gx[i:j + 1].ravel() - c) / (0.5 * h)
+        fit = np.column_stack([qa[:, i], qn, qb[:, j]]) @ _lagrange(t)
+        fine = qg[:, :, i:j + 1].transpose(0, 2, 1).reshape(2, -1)
+        return None if h * np.max(np.abs(fit - fine)) > _CELL_TOL else qn
+
     hs, qgs = [], []
     i = 0
-    while i < lo.size:
-        j, q = i, qg[:, :, i]
-        while j + 1 < lo.size and hi[j + 1] - lo[i] <= _CELL_WIDTH:
-            h = hi[j + 1] - lo[i]
-            c = lo[i] + 0.5 * h
-            qn = _sample(sampler, np.array([c - _GAUSS * h, c + _GAUSS * h]))
-            fit = np.column_stack([qa[:, i], qn, qb[:, j + 1]]) @ _lagrange(
-                (gx[i:j + 2].ravel() - c) / (0.5 * h)
-            )
-            fine = qg[:, :, i:j + 2].transpose(0, 2, 1).reshape(2, -1)
-            if h * np.max(np.abs(fit - fine)) > _CELL_TOL:
-                break
-            j, q = j + 1, qn
+    while i < len(lo):
+        top = bisect.bisect_right(hi, _CELL_WIDTH, i + 1, key=lambda x: x - lo[i]) - 1
+        j, q, bad = i, qg[:, :, i], top + 1  # the longest run passed, the shortest failed
+        while bad - j > 1:
+            k = min(i + max(1, 2 * (j - i)), top) if bad > top else (j + bad) // 2
+            if (qk := merged(i, k)) is None:
+                bad = k
+            else:
+                j, q = k, qk
         hs.append(hi[j] - lo[i])
         qgs.append(q)
         i = j + 1

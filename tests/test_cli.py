@@ -20,6 +20,21 @@ def _write_tanh_csv(path, half_width, nodes):
     return path
 
 
+def test_csv_sampler_is_np_interp(tmp_path):
+    # The CSV sampler evaluates np.interp's formula on lists: the same bits
+    # at the nodes, between them and at seeded random points, and the
+    # background -A, +A at and beyond the first and last node.
+    path = _write_tanh_csv(tmp_path / "tanh.csv", 8.0, 641)
+    x, re, im = np.loadtxt(path, delimiter=",", skiprows=1).T
+    sampler = cli._load_initial_csv(str(path), 1.0).sampler
+    rng = np.random.default_rng(16)
+    pts = np.concatenate([x[1:-1], 0.5 * (x[:-1] + x[1:]), rng.uniform(x[0], x[-1], 5000)])
+    got = np.array([sampler(t) for t in pts.tolist()])
+    assert got.real.tobytes() == np.interp(pts, x, re).tobytes()
+    assert got.imag.tobytes() == np.interp(pts, x, im).tobytes()
+    assert [sampler(t) for t in (x[0] - 1.0, x[0], x[-1], x[-1] + 1.0)] == [-1.0, -1.0, 1.0, 1.0]
+
+
 class _Built(Exception):
     """Raised by a stub scattering-data builder once it has been called."""
 

@@ -133,6 +133,14 @@ class TestStepping:
         assert np.array_equal(out.values, fld.values)
         assert out.values is not fld.values
 
+    @pytest.mark.parametrize("dt", [0.0, 0.001])
+    @pytest.mark.parametrize("record_times", [(), (0.0,)])
+    def test_zero_length_run_records_what_was_asked(self, dt, record_times):
+        fld = init_field(SolitonSpec(A=1.0), Grid(L=5.0, N=50))
+        snaps = evolve(fld, SimConfig(dt=dt, t_end=0.0, record_times=record_times), 1.0)
+        assert [s.t for s in snaps] == [0.0] * len(record_times)
+        assert all(np.array_equal(s.values, fld.values) for s in snaps)
+
     def test_boundary_orbit(self):
         g = Grid(L=10.0, N=100)
         cfg = SimConfig(dt=0.005, t_end=0.1)

@@ -31,7 +31,18 @@ from nnlstep import (
 )
 from nnlstep.branches import background_matrix
 from nnlstep.quadrature import IntegrandSpec, running_winding
-from nnlstep.spectral import _FIT_KS, _Transfer, one_plus_r1r2, one_plus_r1r2_ray
+from nnlstep.spectral import (
+    _CELL_TOL,
+    _CELL_WIDTH,
+    _FIT_KS,
+    _GAUSS,
+    _MID,
+    _Transfer,
+    _half_cells,
+    _lagrange,
+    one_plus_r1r2,
+    one_plus_r1r2_ray,
+)
 
 
 @pytest.fixture
@@ -429,6 +440,100 @@ class TestJostRoute:
         for k in ks:
             reflection(nd, k)
         assert sizes == [len(ks), len(_FIT_KS)]
+
+
+def _oracle_sample(sampler, x):
+    xs = np.concatenate([x, -x])
+    return np.array([complex(sampler(float(t))) for t in xs], dtype=complex).reshape(2, -1)
+
+
+def _oracle_half_cells(data):
+    """The cell grid by the first design: breadth-first bisection on arrays
+    and merges that grow a run by one cell per trial."""
+    w = data.decay_width
+    edges = np.linspace(0.0, w, math.ceil(w / _CELL_WIDTH) + 1)
+    qe = _oracle_sample(data.sampler, edges)
+    a, b, qa, qb = edges[:-1], edges[1:], qe[:, :-1], qe[:, 1:]
+    floor = 8.0 * np.finfo(float).eps * w
+    done = []
+    while a.size:
+        h = b - a
+        c = a + 0.5 * h
+        x = np.concatenate([c - _GAUSS * h, c + _GAUSS * h, c])
+        q1, q2, qc = _oracle_sample(data.sampler, x).reshape(2, 3, -1).transpose(1, 0, 2)
+        fit = np.tensordot(np.stack([qa, q1, q2, qb]), np.asarray(_MID), axes=(0, 0))
+        split = (h * np.max(np.abs(qc - fit), axis=0) > _CELL_TOL) & (h > floor)
+        keep = ~split
+        qg = np.stack([q1, q2], axis=1)
+        done.append((a[keep], b[keep], qa[:, keep], qb[:, keep], qg[:, :, keep]))
+        a, b = np.concatenate([a[split], c[split]]), np.concatenate([c[split], b[split]])
+        qa = np.concatenate([qa[:, split], qc[:, split]], axis=1)
+        qb = np.concatenate([qc[:, split], qb[:, split]], axis=1)
+    lo, hi, qa, qb, qg = (np.concatenate(part, axis=-1) for part in zip(*done))
+    order = np.argsort(lo)
+    lo, hi, qa, qb, qg = lo[order], hi[order], qa[:, order], qb[:, order], qg[..., order]
+    gx = (0.5 * (lo + hi))[:, None] + np.outer(hi - lo, [-_GAUSS, _GAUSS])
+    hs, qgs = [], []
+    i = 0
+    while i < lo.size:
+        j, q = i, qg[:, :, i]
+        while j + 1 < lo.size and hi[j + 1] - lo[i] <= _CELL_WIDTH:
+            h = hi[j + 1] - lo[i]
+            c = lo[i] + 0.5 * h
+            qn = _oracle_sample(data.sampler, np.array([c - _GAUSS * h, c + _GAUSS * h]))
+            fit = np.column_stack([qa[:, i], qn, qb[:, j + 1]]) @ _lagrange(
+                (gx[i:j + 2].ravel() - c) / (0.5 * h)
+            )
+            fine = qg[:, :, i:j + 2].transpose(0, 2, 1).reshape(2, -1)
+            if h * np.max(np.abs(fit - fine)) > _CELL_TOL:
+                break
+            j, q = j + 1, qn
+        hs.append(hi[j] - lo[i])
+        qgs.append(q)
+        i = j + 1
+    return np.array(hs), np.stack(qgs, axis=-1)
+
+
+def _centred_step(x):
+    """Pure centred step with the value 0 at the jump."""
+    return 1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0
+
+
+def _linear_161(x, nodes=np.linspace(-8.0, 8.0, 161)):
+    q = np.tanh(2.0 * nodes) + 0.1j / np.cosh(3.0 * nodes)
+    if x <= nodes[0]:
+        return -1.0
+    if x >= nodes[-1]:
+        return 1.0
+    return complex(np.interp(x, nodes, q.real), np.interp(x, nodes, q.imag))
+
+
+class TestCellGrid:
+    @pytest.mark.parametrize("sampler, width", [
+        (_centred_step, 1.0),
+        (StepProfile(1.0, 0.33).sample, 2.0),
+        (StepProfile(2.0, -0.5).sample, 4.0),
+        (lambda x: np.tanh(2.0 * (x - 0.7)) + 0.1j / np.cosh(3.0 * x), 10.0),
+        (_linear_161, 8.0),
+    ], ids=["centred_step", "step_1_0.33", "step_2_-0.5", "tanh", "linear_161"])
+    def test_grid_matches_one_cell_per_trial_oracle(self, sampler, width):
+        data = InitialData(sampler, decay_width=width)
+        h, qg = _half_cells(data)
+        ref_h, ref_qg = _oracle_half_cells(data)
+        assert h.tobytes() == ref_h.tobytes()
+        assert qg.tobytes() == ref_qg.tobytes()
+
+    def test_centred_step_grid_sampler_calls(self):
+        # Merges gallop: the 43-cell chain beside the jump at 0 merges in
+        # 7 trials, not 42, so the grid takes 582 sampler calls, not 722.
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return _centred_step(x)
+
+        _half_cells(InitialData(counted, decay_width=1.0))
+        assert len(calls) <= 600
 
 
 class TestBranchPoints:
