@@ -31,6 +31,9 @@ _T_MAX = 3.8  # tanh-sinh nodes span t in (-_T_MAX, _T_MAX)
 # block shares its last rung with the next and the 20 pairs end at rung 20.
 _PROBE_BLOCKS = ((0, 8), (8, 16), (16, 20))
 _WINDING_SAMPLES = 600  # points of every running_winding grid
+# The ray walker hands a tanh-sinh level longer than this to its integrand
+# in consecutive blocks, whose temporaries stay in cache.
+_WALK_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -130,14 +133,23 @@ def _ray_cells(
     """int_{-inf}^{upper} g(z) dz, or of g(z)/(z - pole) when a pole is given.
 
     Walks geometric cells of (-inf, upper], widest cells last, and stops
-    once a cell contributes below tol/10 beyond ten decay scales.
+    once a cell contributes below tol/10 beyond ten decay scales.  A level
+    longer than _WALK_BLOCK nodes is evaluated in consecutive blocks of
+    that many; the integrand is elementwise, so the values do not depend
+    on the blocking.
     """
     if pole is None:
-        integrand = g.eval
+        point = g.eval
     else:
 
-        def integrand(z):
+        def point(z):
             return np.asarray(g.eval(z), dtype=complex) / (z - pole)
+
+    def integrand(z):
+        block = _WALK_BLOCK
+        if z.size <= block:
+            return point(z)
+        return np.concatenate([point(z[i:i + block]) for i in range(0, z.size, block)])
 
     total = 0.0 + 0.0j
     err = 0.0

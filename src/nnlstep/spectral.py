@@ -58,6 +58,9 @@ class StepProfile:
             raise ValueError(f"step location must be finite, got {self.R}")
 
     def sample(self, x):
+        # A Jost cell grid samples one float at a time (np.float64 is one).
+        if isinstance(x, float):
+            return complex(self.A if x >= self.R else -self.A)
         x = np.asarray(x, dtype=float)
         return np.where(x >= self.R, self.A, -self.A).astype(complex)
 
@@ -149,29 +152,28 @@ def _step_a1a2_vec(s: np.ndarray, A: float, R: float, sp=None) -> np.ndarray:
 
     Used by the singular quadratures, where the determinant relation gives
     1 + r1 r2 = 1 / (a1 a2) and millions of evaluations occur.  On the ray
-    f = -sqrt(A - s) sqrt(-sp), h = -sqrt(s^2 + A^2), alpha = f + h and
-    beta = f - h are real, and with P1 = A^2 - s beta, P2 = A^2 - s alpha,
-    M1 = A^2 + s alpha, M2 = A^2 + s beta the product of _step_pm's p and m
-    is P1 M1 e^{4ihR} + P2 M2 e^{-4ihR} - (P1 M2 + P2 M1): one real phase
-    in place of four complex exponentials.
+    f^2 = (A - s)(-sp) and h = -sqrt(s^2 + A^2) are real, and the product
+    of _step_pm's p and m is P1 M1 e^{4ihR} + P2 M2 e^{-4ihR} - (P1 M2 + P2 M1).
+    As f^2 - h^2 = -2A^2 and f^2 + h^2 = 2s^2, its coefficients are
+    P1 M1 + P2 M2 = 2A^2(A^2 + 2s^2), P1 M1 - P2 M2 = 4A^2 s h and
+    P1 M2 + P2 M1 = 2A^4 - 4s^4, so f itself is never formed:
+    a1 a2 = (A^2(A^2 + 2s^2) cos 4hR - A^4 + 2s^4 + 2i A^2 s h sin 4hR) / (2 f^2 h^2).
     """
     s = np.asarray(s, dtype=float)
     sp = s + A if sp is None else np.asarray(sp, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ff = (A - s) * -sp  # f^2
+        ss = s * s
         if R == 0.0:
-            return (s * s / ff).astype(complex)
-        hh = s * s + A * A  # h^2
-        f = -np.sqrt(A - s) * np.sqrt(-sp)
+            return (ss / ff).astype(complex)
+        AA = A * A
+        hh = ss + AA  # h^2
         h = -np.sqrt(hh)
-        sa, sb = s * (f + h), s * (f - h)
-        P1, P2, M1, M2 = A * A - sb, A * A - sa, A * A + sa, A * A + sb
-        P1M1, P2M2 = P1 * M1, P2 * M2
         phase = 4.0 * R * h
-        scale = 0.25 / (ff * hh)  # 1 / (2 f h)^2
+        scale = 0.5 / (ff * hh)  # 1 / (2 f^2 h^2)
         out = np.empty(s.shape, dtype=complex)
-        out.real = ((P1M1 + P2M2) * np.cos(phase) - (P1 * M2 + P2 * M1)) * scale
-        out.imag = (P1M1 - P2M2) * np.sin(phase) * scale
+        out.real = (AA * (AA + 2.0 * ss) * np.cos(phase) - AA * AA + 2.0 * ss * ss) * scale
+        out.imag = 2.0 * AA * s * h * np.sin(phase) * scale
         return out
 
 

@@ -209,6 +209,44 @@ class TestStepFormsAgree:
         assert abs(vec - ref) <= 1e-13 * abs(ref)
 
 
+class TestStepSampler:
+    """StepProfile.sample: a float gives a complex, anything else the
+    np.where form; x = R is on the +A side."""
+
+    @staticmethod
+    def _where(prof, x):
+        return np.where(np.asarray(x, dtype=float) >= prof.R, prof.A, -prof.A).astype(complex)
+
+    @pytest.mark.parametrize("x", [
+        -2.0, 0.1, 0.33, 0.5, math.inf, -math.inf,
+        np.float64(0.33), np.float64(-0.7), np.float64(1e300),
+    ])
+    def test_scalar_matches_array_form(self, x):
+        prof = StepProfile(1.5, 0.33)
+        got = prof.sample(x)
+        assert type(got) is complex
+        assert got == complex(self._where(prof, x))
+
+    def test_step_point_is_plus_A(self):
+        prof = StepProfile(2.0, -0.5)
+        assert prof.sample(-0.5) == prof.sample(np.float64(-0.5)) == 2.0
+        assert prof.sample(np.nextafter(-0.5, -1.0)) == -2.0
+
+    @pytest.mark.parametrize("x", [
+        np.array([-3.0, -0.5, np.nextafter(-0.5, -1.0), 0.0, 7.0]),
+        np.linspace(-2.0, 2.0, 9).reshape(3, 3),
+        np.array(-0.5),
+        [-1.0, 0.0],
+        3,
+    ])
+    def test_arrays_match_where_form(self, x):
+        prof = StepProfile(2.0, -0.5)
+        got = prof.sample(x)
+        want = self._where(prof, x)
+        assert isinstance(got, np.ndarray) and got.dtype == complex
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestSolitonData:
     def test_reciprocal_product(self, soliton_sd):
         for k in (2.0, -3.1, 1.2 + 0.7j):
