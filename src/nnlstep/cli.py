@@ -321,6 +321,9 @@ def _load_sim_config(path: str):
         field = init_field(q0, grid)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError("config", f"invalid simulation config: {exc}")
+    # A dt past the stability bound is a precondition error (exit 3), and
+    # it is refused before `compare` builds any scattering data.
+    sim.check_cfl(grid)
     return A, sim, q0, field
 
 

@@ -488,6 +488,28 @@ class TestSimulateAndCompare:
         rc = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
         assert rc == 3
 
+    @pytest.mark.filterwarnings("ignore::nnlstep.GridTooCoarse")
+    @pytest.mark.parametrize("kind", ["step", "csv"])
+    def test_cfl_violation_refused_before_scattering_data(
+        self, tmp_path, monkeypatch, capsys, kind
+    ):
+        # d(A) takes seconds on CSV data; a dt the solver would refuse
+        # must stop `compare` before any of it is built.
+        built = []
+        monkeypatch.setattr(cli, "transition_params", lambda *a, **k: built.append(a))
+        monkeypatch.setattr(cli, "jost_spectral", lambda *a, **k: built.append(a))
+        initial = {"kind": "step"}
+        if kind == "csv":
+            initial = {"kind": "csv", "path": str(_write_tanh_csv(tmp_path / "q.csv", 4.0, 33))}
+        cfg = {"A": 1.0, "L": 10.0, "N": 200, "dt": 0.01, "t_end": 0.1, "initial": initial}
+        path = tmp_path / "cfl.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["compare", "--config", str(path), "--predictor", "transition",
+                   "--window", "0.5:1.5", "--out-dir", str(tmp_path / "o")])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "precondition"
+        assert built == []
+
     def test_blowup_exit_code(self, tmp_path):
         initial = tmp_path / "huge.csv"
         initial.write_text(

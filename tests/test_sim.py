@@ -1,10 +1,11 @@
 """Direct method-of-lines solver: grid, stepping, recording, comparison."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnlstep import (
@@ -22,6 +23,7 @@ from nnlstep import (
     q_soliton,
     step,
 )
+from nnlstep.nnls_sim import _RK4Stepper
 
 
 class TestGrid:
@@ -180,6 +182,41 @@ class TestStepping:
             evolve(Field(t=0.0, values=values, grid=g), cfg, 1.0)
         assert exc.value.t == pytest.approx(0.002)
 
+    def test_infinite_field_is_blowup(self):
+        g = Grid(L=5.0, N=50)
+        values = np.tanh(g.x).astype(complex)
+        values[25] = complex(0.0, -math.inf)
+        # NumPy flags inf * 0 inside the stencil; the guard must still fire.
+        with np.errstate(invalid="ignore"), pytest.raises(BlowupDetected):
+            step(Field(t=0.0, values=values, grid=g), SimConfig(dt=0.002, t_end=0.002), 1.0)
+
+    @pytest.mark.parametrize(
+        "peak, phase",
+        [(50.5, 0.0), (50.5, math.pi / 4), (36.0, 0.0), (49.5, math.pi / 4)],
+        ids=["real_past_bound", "diagonal_past_bound", "real_36", "diagonal_below_bound"],
+    )
+    def test_blowup_guard_edge(self, peak, phase):
+        # The guard screens with max(|Re q|, |Im q|) and takes the exact
+        # max |q| only past 50A / sqrt(2): a real 50.5A must report |q|,
+        # not sqrt(2) max(|Re|, |Im|); a diagonal 50.5A (|Re| = |Im| =
+        # 35.7A) must still raise; a real 36A (screened in, under 50A) and
+        # a diagonal 49.5A (screened out) must not.
+        A, g = 1.0, Grid(L=5.0, N=50)
+        values = np.tanh(g.x).astype(complex)
+        values[10] = peak * complex(math.cos(phase), math.sin(phase))
+        dt = 1e-6
+        want = _reference_rk4(values.copy(), g.dx, dt, A, 1)
+        want_peak = float(np.max(np.abs(want)))
+        fld = Field(t=0.0, values=values, grid=g)
+        cfg = SimConfig(dt=dt, t_end=dt)
+        if want_peak > 50.0 * A:
+            with pytest.raises(BlowupDetected) as exc:
+                step(fld, cfg, A)
+            assert exc.value.max_abs == pytest.approx(want_peak, rel=1e-12)
+        else:
+            out = step(fld, cfg, A)
+            assert np.max(np.abs(out.values - want)) <= 1e-12 * want_peak
+
 
 def _reference_rk4(q: np.ndarray, dx: float, dt: float, A: float, steps: int) -> np.ndarray:
     """Textbook classic RK4 of the documented semi-discrete system, one new
@@ -215,6 +252,9 @@ class TestInPlaceStepper:
         cfl=st.floats(0.01, 1.0),
         steps=st.integers(1, 30),
     )
+    # N = 40,000: OpenBLAS splits an axpy of more than about 10,000
+    # entries over threads, and the drawn grids stay below that.
+    @example(half_n=20000, phi0=0.3, cfl=1.0, steps=3)
     def test_matches_reference_rk4(self, half_n, phi0, cfl, steps):
         # dx = 0.25 keeps dt * |nonlinear rate| small at the largest dt.
         A, g = 1.0, Grid(L=0.25 * half_n, N=2 * half_n)
@@ -230,6 +270,23 @@ class TestInPlaceStepper:
             stepped = step(stepped, cfg, A)
         assert stepped.t == last.t
         assert np.array_equal(stepped.values, last.values)
+
+    def test_step_allocates_no_array(self):
+        # A BLAS target that f2py had to copy would show up here as a
+        # field-sized allocation, and its update would be lost.
+        A, g = 1.0, Grid(L=100.0, N=4000)
+        q = A * np.tanh(A * g.x - 0.25j * np.pi)
+        stepper = _RK4Stepper(g, SimConfig(dt=0.2 * g.dx**2, t_end=1.0), A)
+        t = stepper.advance(q, 0.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                t = stepper.advance(q, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < q.nbytes
 
     def test_no_aliasing(self):
         g = Grid(L=10.0, N=100)
