@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import csv
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -234,23 +235,12 @@ def cmd_spectral(args) -> int:
         rows,
     )
     report = check_assumptions(sd)
+    # Every field of the report, complex as [re, im]; json writes notes as a list.
     payload = {
-        "a1_winding": report.a1_winding,
-        "a10": [report.a10.real, report.a10.imag],
-        "a10_fit_residual": report.a10_fit_residual,
-        "a1_plus_at_zero": [
-            report.a1_plus_at_zero.real,
-            report.a1_plus_at_zero.imag,
-        ],
-        "simple_zero_at_origin": report.simple_zero_at_origin,
-        "re_a10_small": report.re_a10_small,
-        "winding_bound_ok": report.winding_bound_ok,
-        "winding_sup": report.winding_sup,
-        "endpoint_zero_at_minus_A": report.endpoint_zero_at_minus_A,
-        "endpoint_value": [report.endpoint_value.real, report.endpoint_value.imag],
-        "passed": report.passed,
-        "notes": list(report.notes),
+        name: [v.real, v.imag] if isinstance(v, complex) else v
+        for name, v in dataclasses.asdict(report).items()
     }
+    payload["passed"] = report.passed
     (out / "assumptions_report.json").write_text(json.dumps(payload, indent=2) + "\n")
     _write_manifest(out, "spectral", args)
     return _EXIT_OK

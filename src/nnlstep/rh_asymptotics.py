@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,27 +72,26 @@ class DeltaData:
     delta_boundary: Callable[[float, CutSide], complex]
     log_g_at: Callable[[np.ndarray], np.ndarray]
     zero_at_minus_A: bool
-    # (grid, cumulative argument) of ln(1 + r1 r2) on (-inf, k1): the
-    # running_winding pass that log_g_at picks its branch from.
-    winding: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
 
 
-def _unwound_log(gvec, k1: float, decay: float):
-    """Continuous branch of ln g on (-inf, k1], unwound from g(-inf) ~ 1.
+def _unwound_log(sd: SpectralData, gvec, k1: float):
+    """Continuous branch of ln g, g = gvec = one_plus_r1r2_ray(sd), on
+    (-inf, k1], unwound from g(-inf) ~ 1: the one reader of the ray's
+    running_winding samples (grid, cum).
 
-    Returns (log_fn vectorized, grid, cum): one running_winding pass, whose
-    cumulative argument cum[-1] is Delta(k1).  The path stops a hair short
-    of k1, where the value may vanish (endpoint zero); the argument extends
-    by continuity.  log_fn takes the principal log and picks the branch
-    nearest the linear interpolant of (grid, cum), so its imaginary part
-    is the refined argument; the interpolant itself can miss it near a
-    zero of g (see the FOUND line on Im F_inf in CHANGES.md).
+    Returns (log_fn vectorized, Delta(k1) = cum[-1]) and records
+    Im F_inf(k1) from the same samples in the data's table.  The path
+    stops a hair short of k1, where the value may vanish (endpoint zero);
+    the argument extends by continuity.  log_fn takes the principal log
+    and picks the branch nearest the linear interpolant of (grid, cum), so
+    its imaginary part is the refined argument; the interpolant itself can
+    miss it near a zero of g (see the FOUND line on Im F_inf in CHANGES.md).
     """
-    spec = IntegrandSpec(eval=gvec, decay_estimate=decay)
+    A = sd.A
+    spec = IntegrandSpec(eval=gvec, decay_estimate=ray_decay(A))
     k_end = k1 - 1e-9 * max(1.0, abs(k1))
     grid, cum = running_winding(spec, k_end)
+    _table(sd).im_F_inf[k1] = _winding_over_root(grid, cum, k1, A) / (2 * np.pi)
 
     def log_fn(s):
         s = np.asarray(s, dtype=float)
@@ -102,7 +101,7 @@ def _unwound_log(gvec, k1: float, decay: float):
         branch = np.round((target - principal) / (2 * np.pi))
         return np.log(np.abs(vals)) + 1j * (principal + 2 * np.pi * branch)
 
-    return log_fn, grid, cum
+    return log_fn, float(cum[-1])
 
 
 def _check_k1(k1: float, A: float) -> float:
@@ -125,12 +124,10 @@ def delta_data(sd: SpectralData, k1: float) -> DeltaData:
     A = sd.A
     k1 = _check_k1(k1, A)
     gvec = one_plus_r1r2_ray(sd)
-    decay = ray_decay(A)
 
     zero_at_minus_A = abs(k1 + A) <= 1e-12 * A and endpoint_zero(sd)[0]
 
-    log_fn, grid, cum = _unwound_log(gvec, k1, decay)
-    Delta_k1 = float(cum[-1])
+    log_fn, Delta_k1 = _unwound_log(sd, gvec, k1)
     if zero_at_minus_A:
         nu = complex(float("nan"), float("nan"))
     else:
@@ -142,7 +139,7 @@ def delta_data(sd: SpectralData, k1: float) -> DeltaData:
             f"winding Delta(k1)={Delta_k1:.4f} outside (-pi, pi) at k1={k1}"
         )
 
-    spec = IntegrandSpec(eval=log_fn, decay_estimate=decay)
+    spec = IntegrandSpec(eval=log_fn, decay_estimate=ray_decay(A))
 
     def log_delta_at(k: complex) -> complex:
         return cauchy_semiinfinite(spec, k1, complex(k)) / (2j * np.pi)
@@ -171,7 +168,6 @@ def delta_data(sd: SpectralData, k1: float) -> DeltaData:
         delta_boundary=delta_boundary,
         log_g_at=log_fn,
         zero_at_minus_A=zero_at_minus_A,
-        winding=(grid, cum),
     )
 
 
@@ -183,19 +179,24 @@ def delta_data(sd: SpectralData, k1: float) -> DeltaData:
 class _RayTable:
     """What the rays of one spectral data set share.
 
-    Holds F_inf by k1, d(A), and the one tail
+    Holds F_inf and Im F_inf by k1, d(A), and the one tail
     T = int_{-inf}^{-2A} ln|1+r1r2(s)| / sqrt(s^2-A^2) ds, walked once.
-    It keeps no reference to the data, so the weak-keyed _TABLES drops it
-    together with the data.
+    It holds numbers only: no reference to the data, so the weak-keyed
+    _TABLES drops it together with the data, and no samples or closures.
     """
 
     def __init__(self):
         self.F_inf: dict[float, complex] = {}
+        self.im_F_inf: dict[float, float] = {}
         self.dA: complex | None = None
         self.tail: float | None = None
 
 
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _table(sd: SpectralData) -> _RayTable:
+    return _TABLES.setdefault(sd, _RayTable())
 
 
 def _winding_over_root(grid: np.ndarray, cum: np.ndarray, k1: float, A: float) -> float:
@@ -211,41 +212,6 @@ def _winding_over_root(grid: np.ndarray, cum: np.ndarray, k1: float, A: float) -
     cells = (cum[:-1] - slope * grid[:-1]) * np.diff(log_prim) + slope * np.diff(root)
     last = -math.log(math.sqrt(k1 * k1 - A * A) - k1) - log_prim[-1]
     return float(np.sum(cells)) + float(cum[-1]) * last
-
-
-def _F_inf(sd: SpectralData, k1: float, winding=None) -> complex:
-    """F_inf(k1) through the data's table; winding is the (grid, cum) of a
-    running_winding pass to k1 already made (delta_data's), if any."""
-    table = _TABLES.setdefault(sd, _RayTable())
-    F = table.F_inf.get(k1)
-    if F is not None:
-        return F
-    A = sd.A
-    gvec = one_plus_r1r2_ray(sd)
-
-    def log_abs_over_root(t):
-        # In t = s + A, so that a node next to s = -A keeps its distance
-        # t to it; sqrt(s^2 - A^2) = sqrt(A - s) sqrt(-t).
-        t = np.asarray(t, dtype=float)
-        s = t - A
-        return np.log(np.abs(gvec(s, t))) / (np.sqrt(A - s) * np.sqrt(-t))
-
-    spec = IntegrandSpec(log_abs_over_root, ray_decay(A))
-    if table.tail is None:
-        table.tail = semiinfinite_integral(spec, -A, tol=_PIECE_TOL).real
-    t1 = k1 + A  # exactly 0 at k1 = -A
-    if t1 >= -A:
-        piece = tanh_sinh(spec.eval, -A, t1, tol=_PIECE_TOL)[0].real
-    else:
-        piece = -tanh_sinh(spec.eval, t1, -A, tol=_PIECE_TOL)[0].real
-    if winding is None:
-        _, grid, cum = _unwound_log(gvec, k1, ray_decay(A))
-    else:
-        grid, cum = winding
-    re_val = table.tail + piece
-    im_val = _winding_over_root(grid, cum, k1, A)
-    F = table.F_inf[k1] = complex(re_val / (2 * np.pi), im_val / (2 * np.pi))
-    return F
 
 
 def F_infinity(sd: SpectralData, k1: float) -> complex:
@@ -267,10 +233,37 @@ def F_infinity(sd: SpectralData, k1: float) -> complex:
     when k1 < -2A.  In the imaginary part Delta(s) is the linear
     interpolant of the running_winding samples to k1 (0 to their left),
     integrated exactly cell by cell; near a zero of 1 + r1 r2 it misses
-    the refined argument (FOUND line on Im F_inf in CHANGES.md).
+    the refined argument (FOUND line on Im F_inf in CHANGES.md).  The
+    pass is delta_data's when one was made to k1, else its own.
     Values are memoised per spectral data object for its lifetime.
     """
-    return _F_inf(sd, _check_k1(k1, sd.A))
+    A = sd.A
+    k1 = _check_k1(k1, A)
+    table = _table(sd)
+    F = table.F_inf.get(k1)
+    if F is not None:
+        return F
+    gvec = one_plus_r1r2_ray(sd)
+
+    def log_abs_over_root(t):
+        # In t = s + A, so that a node next to s = -A keeps its distance
+        # t to it; sqrt(s^2 - A^2) = sqrt(A - s) sqrt(-t).
+        t = np.asarray(t, dtype=float)
+        s = t - A
+        return np.log(np.abs(gvec(s, t))) / (np.sqrt(A - s) * np.sqrt(-t))
+
+    spec = IntegrandSpec(log_abs_over_root, ray_decay(A))
+    if table.tail is None:
+        table.tail = semiinfinite_integral(spec, -A, tol=_PIECE_TOL).real
+    t1 = k1 + A  # exactly 0 at k1 = -A
+    if t1 >= -A:
+        piece = tanh_sinh(spec.eval, -A, t1, tol=_PIECE_TOL)[0].real
+    else:
+        piece = -tanh_sinh(spec.eval, t1, -A, tol=_PIECE_TOL)[0].real
+    if k1 not in table.im_F_inf:
+        _unwound_log(sd, gvec, k1)
+    F = table.F_inf[k1] = complex((table.tail + piece) / (2 * np.pi), table.im_F_inf[k1])
+    return F
 
 
 def F_at(sd: SpectralData, dd: DeltaData, k: complex, side: CutSide = CutSide.OFF) -> complex:
@@ -314,7 +307,7 @@ def transition_dA(sd: SpectralData) -> complex:
         raise MissingNormingConstant("spectral data has no norming constant gamma_+")
     if sd.a10 is None or sd.a10 == 0 or cmath.isnan(complex(sd.a10)):
         raise MissingNormingConstant("spectral data has no valid a10 coefficient")
-    table = _TABLES.setdefault(sd, _RayTable())
+    table = _table(sd)
     if table.dA is None:
         dd = delta_data(sd, -sd.A)
         Fp0 = F_plus_at_zero(sd, dd)
@@ -346,7 +339,7 @@ def modulated_params(sd: SpectralData, xi: float) -> AsymptoticParams:
         raise RegionMismatch(f"xi={xi} (A={sd.A}) lies in {region.value}, not a modulated sector")
     k1, _ = critical_points(Direction(abs(xi), sd.A))
     dd = delta_data(sd, k1)  # enforces the winding bound
-    F_inf = _F_inf(sd, k1, dd.winding)
+    F_inf = F_infinity(sd, k1)
     exponent = 0.5 - abs(dd.nu.imag)
     return AsymptoticParams(region, sd.A, k1, F_inf, exponent)
 

@@ -85,7 +85,7 @@ def _tabulate(memo: dict, abc: Callable, ks, side: CutSide) -> list[tuple[comple
     """(a1, a2, b) at each k from memo; the points it lacks are evaluated
     in one abc call and kept there."""
     keys = [(complex(k), side) for k in ks]
-    new = [key for key in keys if key not in memo]
+    new = list(dict.fromkeys(key for key in keys if key not in memo))
     if new:
         vals = abc(np.array([k for k, _ in new]), side)
         memo.update(zip(new, zip(*(v.tolist() for v in vals))))
@@ -502,10 +502,12 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     Outside [-w, w], w = decay_width, the datum is its background, so the
     Jost columns there are the background solutions E_j(k) e^{-+ixf}; the
     left ones cross [-w, w] by the Magnus transfer matrix of _Transfer,
-    and a1, a2, b are Wronskians at x = w.  The samples and the small-k
-    fit points are evaluated in one batch per side and memoised; any
-    other k costs one more transfer product.  On the ray, a1a2_ray is the
-    same product with f and w formed from the exact s + A when given.
+    and a1, a2, b are Wronskians at x = w.  The samples, the Schwarz
+    mirrors -conj(k) of those off the cut (reflection's r2 needs b
+    there) and the small-k fit points are evaluated in one batch per side
+    and memoised; any other k costs one more transfer product.  On the
+    ray, a1a2_ray is the same product with f and w formed from the exact
+    s + A when given.
     A build is transfer products only: gamma_plus sweeps the cells at
     k = 0 on its first call (_norming_wronskian).
     """
@@ -522,7 +524,8 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     k_samples = [complex(k) for k in k_samples]
     on_cut = [k for k in k_samples if k.imag == 0.0 and abs(k.real) < A]
     memo: dict = {}
-    _tabulate(memo, abc, [k for k in k_samples if k not in on_cut], CutSide.OFF)
+    off = [k for k in k_samples if k not in on_cut]
+    _tabulate(memo, abc, off + [-k.conjugate() for k in off], CutSide.OFF)
     above = _tabulate(memo, abc, on_cut + list(_FIT_KS * A), CutSide.ABOVE)
     _, a10, _ = _fit_small_k([v[0] for v in above[len(on_cut):]], A)
     sd = SpectralData(

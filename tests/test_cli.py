@@ -1,13 +1,15 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from nnlstep import StepProfile, cli, jost_spectral, q_central, step_spectral
+import nnlstep.spectral as spectral
+from nnlstep import AssumptionReport, StepProfile, cli, jost_spectral, q_central, step_spectral
 from nnlstep.cli import main
 
 
@@ -126,6 +128,31 @@ class TestSpectralCommand:
             above, below = sides[(k, "above")], sides[(k, "below")]
             assert abs(value(above, "a2") + value(below, "a1")) < 1e-8
             assert abs(value(above, "a1") + value(below, "a2")) < 1e-10
+
+    def test_report_writes_every_field(self, tmp_path):
+        out = tmp_path / "rep"
+        assert main(["spectral", "--k-grid", "2:10:5", "--out-dir", str(out)]) == 0
+        report = json.loads((out / "assumptions_report.json").read_text())
+        fields = [fl.name for fl in dataclasses.fields(AssumptionReport)]
+        assert list(report) == fields + ["passed"]
+
+    def test_csv_mirrors_share_the_samples_batch(self, tmp_path, monkeypatch):
+        # r2 needs b(-k) at each of the 200 samples: their mirrors ride in
+        # the samples' OFF batch instead of one transfer product each.  The
+        # other products: the ABOVE fit batch and check_assumptions' four.
+        sizes = []
+        matrix = spectral._Transfer.matrix
+
+        def counting(self, k):
+            sizes.append(len(k))
+            return matrix(self, k)
+
+        monkeypatch.setattr(spectral._Transfer, "matrix", counting)
+        initial = _write_tanh_csv(tmp_path / "tanh.csv", 8.0, 641)
+        assert main(["spectral", "--input-csv", str(initial), "--k-grid", "1.1:10:200",
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        assert sizes[:2] == [400, 6]
+        assert len(sizes) == 6
 
     def test_bad_grid_is_config_error(self, tmp_path):
         rc = main(["spectral", "--k-grid", "nope", "--out-dir", str(tmp_path / "x")])
@@ -563,3 +590,28 @@ def test_tol_flag_is_usage_error(tmp_path, command):
                     "--window", "1:2"],
     }[command]
     assert main(args + ["--tol", "1e-8", "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["asym", "--soliton", "--t", "10", "--xi", "-0.75,0.9"],
+        ["asym", "--soliton", "--t", "10", "--x", "-0.5,0.5"],
+        ["spectral", "--k-grid", "-3.3:3.1:5"],
+        ["compare", "--predictor", "soliton", "--window", "-9:-1"],
+    ],
+    ids=["xi", "x", "k_grid", "window"],
+)
+def test_negative_list_needs_equals_form(tmp_path, args, capsys):
+    # argparse reads a value that starts with '-' as an option.
+    if args[0] == "compare":
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({
+            "A": 1.0, "L": 10.0, "N": 200, "dt": 0.002, "t_end": 0.01,
+            "initial": {"kind": "soliton"},
+        }))
+        args = args[:1] + ["--config", str(config)] + args[1:]
+    *head, flag, value = args
+    assert main(head + [flag, value, "--out-dir", str(tmp_path / "space")]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert main(head + [f"{flag}={value}", "--out-dir", str(tmp_path / "eq")]) == 0

@@ -52,7 +52,7 @@ from nnlstep.quadrature import (
     semiinfinite_integral,
     tanh_sinh,
 )
-from nnlstep.spectral import one_plus_r1r2_ray
+from nnlstep.spectral import one_plus_r1r2_ray, ray_decay
 
 
 def _g_centered_step(s):
@@ -451,7 +451,8 @@ class TestRayTable:
         A = 1.0
         sd = step_spectral(StepProfile(A=A, R=-1.0))
         k1 = _k1(0.6, A)
-        grid, cum = delta_data(sd, k1).winding
+        k_end = k1 - 1e-9 * max(1.0, abs(k1))
+        grid, cum = running_winding(IntegrandSpec(one_plus_r1r2_ray(sd), ray_decay(A)), k_end)
 
         def im(s):
             return np.interp(s, grid, cum, left=0.0, right=cum[-1]) / math.sqrt(s * s - A * A)
@@ -460,18 +461,39 @@ class TestRayTable:
                       epsabs=1e-14, epsrel=1e-13)
         assert abs(F_infinity(sd, k1).imag - val / (2 * np.pi)) < 1e-11
 
-    def test_one_winding_pass_per_modulated_ray(self, monkeypatch):
-        calls = []
+    @pytest.fixture
+    def winding_ends(self, monkeypatch):
+        """End points of the running_winding passes of rh_asymptotics."""
+        ends = []
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            ends.append(args[1])
             return running_winding(*args, **kwargs)
 
         monkeypatch.setattr(rh, "running_winding", counting)
+        return ends
+
+    def test_one_winding_pass_per_modulated_ray(self, winding_ends):
         sd = step_spectral(StepProfile(A=1.0, R=-1.0))
         for n, xi in enumerate((0.9, 1.7, -3.0), start=1):
             modulated_params(sd, xi)
-            assert len(calls) == n
+            assert len(winding_ends) == n
+
+    def test_one_winding_pass_for_transition_and_central(self, winding_ends):
+        # d(A)'s delta_data(-A) pass also gives F_inf(-A) its imaginary part.
+        A = 1.0
+        sd = step_spectral(StepProfile(A=A, R=0.7))
+        transition_params(sd)
+        central_params(sd, 0.2)
+        central_params(sd, -0.2)
+        assert winding_ends == [-A - 1e-9 * max(1.0, A)]
+
+    @pytest.mark.parametrize("R", [-1.0, 0.7])
+    def test_F_infinity_first_equals_modulated(self, R):
+        # F_infinity's own pass and modulated_params' delta_data pass fill
+        # the table with the same Im F_inf.
+        p = modulated_params(step_spectral(StepProfile(A=1.0, R=R)), 0.9)
+        assert F_infinity(step_spectral(StepProfile(A=1.0, R=R)), p.k1) == p.F_inf
 
     def test_table_does_not_keep_data_alive(self):
         sd = step_spectral(StepProfile(A=1.0, R=0.7))
