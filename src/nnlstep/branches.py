@@ -44,22 +44,12 @@ def _check_amplitude(A: float) -> float:
     return A
 
 
-def _validate_horizontal(k: complex, A: float, side: CutSide, name: str) -> complex:
-    """Common domain checks for functions cut along [-A, A]."""
+def _validate_horizontal(k: complex, A: float, name: str) -> complex:
+    """The scalar branch-point check of f and w: k within _BRANCH_POINT_RTOL
+    A of +-A is refused.  fw_array makes the cut and side checks."""
     k = complex(k)
     if abs(k - A) <= _BRANCH_POINT_RTOL * A or abs(k + A) <= _BRANCH_POINT_RTOL * A:
         raise BranchPointError(f"{name}(k) requested at branch point, k={k}, A={A}")
-    on_cut = k.imag == 0.0 and -A < k.real < A
-    if side is CutSide.OFF:
-        if on_cut:
-            raise BranchDomainError(
-                f"{name}(k) on the cut (-A, A) requires side=ABOVE or BELOW, k={k}"
-            )
-    else:
-        if not on_cut:
-            raise BranchDomainError(
-                f"side={side.value} only valid for real k in (-A, A), got k={k}"
-            )
     return k
 
 
@@ -128,13 +118,13 @@ def fw_array(k, A: float, side: CutSide, sp=None):
 def f(k: complex, A: float, side: CutSide = CutSide.OFF) -> complex:
     """Square root (k^2 - A^2)^(1/2) with f(k) ~ k at infinity."""
     A = _check_amplitude(A)
-    return complex(fw_array(_validate_horizontal(k, A, side, "f"), A, side)[0])
+    return complex(fw_array(_validate_horizontal(k, A, "f"), A, side)[0])
 
 
 def w(k: complex, A: float, side: CutSide = CutSide.OFF) -> complex:
     """Fourth root ((k-A)/(k+A))^(1/4) with w(k) ~ 1 at infinity."""
     A = _check_amplitude(A)
-    return complex(fw_array(_validate_horizontal(k, A, side, "w"), A, side)[1])
+    return complex(fw_array(_validate_horizontal(k, A, "w"), A, side)[1])
 
 
 def h(k: complex, A: float) -> complex:

@@ -129,6 +129,8 @@ def _load_initial_csv(path: str, A: float) -> InitialData:
     with p.open() as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(reader):
+            if not any(c.strip() for c in row):
+                continue  # blank row
             if i == 0 and any(not _is_number(c) for c in row):
                 continue  # header
             if len(row) < 3:
@@ -301,6 +303,8 @@ def _load_sim_config(path: str):
         raise CliError("config", f"bad JSON in {path}: {exc}")
     try:
         A = float(cfg["A"])
+        if int(cfg["N"]) != float(cfg["N"]):
+            raise ValueError(f"N must be an integer, got {cfg['N']}")
         grid = Grid(L=float(cfg["L"]), N=int(cfg["N"]))
         sim = SimConfig(
             dt=float(cfg["dt"]),
@@ -309,7 +313,7 @@ def _load_sim_config(path: str):
         )
         q0 = _datum(cfg["initial"]["kind"], A, cfg["initial"])
         field = init_field(q0, grid)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError("config", f"invalid simulation config: {exc}")
     # A dt past the stability bound is a precondition error (exit 3), and
     # it is refused before `compare` builds any scattering data.

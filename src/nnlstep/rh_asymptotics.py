@@ -42,7 +42,7 @@ from .quadrature import (
     semiinfinite_integral,
     tanh_sinh,
 )
-from .spectral import SpectralData, endpoint_zero, one_plus_r1r2_ray, ray_decay
+from .spectral import SpectralData, endpoint_zero, ray_decay
 
 _STATION_GUARD = 1e-8
 # Ray integrals meet DEFAULT_TOL; each summed piece of Re F_inf a tenth of it.
@@ -74,8 +74,8 @@ class DeltaData:
     zero_at_minus_A: bool
 
 
-def _unwound_log(sd: SpectralData, gvec, k1: float):
-    """Continuous branch of ln g, g = gvec = one_plus_r1r2_ray(sd), on
+def _unwound_log(sd: SpectralData, k1: float):
+    """Continuous branch of ln g, g = sd.one_plus_r1r2_ray, on
     (-inf, k1], unwound from g(-inf) ~ 1: the one reader of the ray's
     running_winding samples (grid, cum).
 
@@ -87,7 +87,7 @@ def _unwound_log(sd: SpectralData, gvec, k1: float):
     its imaginary part is the refined argument; the interpolant itself can
     miss it near a zero of g (see the FOUND line on Im F_inf in CHANGES.md).
     """
-    A = sd.A
+    A, gvec = sd.A, sd.one_plus_r1r2_ray
     spec = IntegrandSpec(eval=gvec, decay_estimate=ray_decay(A))
     k_end = k1 - 1e-9 * max(1.0, abs(k1))
     grid, cum = running_winding(spec, k_end)
@@ -123,11 +123,11 @@ def delta_data(sd: SpectralData, k1: float) -> DeltaData:
     """
     A = sd.A
     k1 = _check_k1(k1, A)
-    gvec = one_plus_r1r2_ray(sd)
+    gvec = sd.one_plus_r1r2_ray
 
     zero_at_minus_A = abs(k1 + A) <= 1e-12 * A and endpoint_zero(sd)[0]
 
-    log_fn, Delta_k1 = _unwound_log(sd, gvec, k1)
+    log_fn, Delta_k1 = _unwound_log(sd, k1)
     if zero_at_minus_A:
         nu = complex(float("nan"), float("nan"))
     else:
@@ -243,7 +243,7 @@ def F_infinity(sd: SpectralData, k1: float) -> complex:
     F = table.F_inf.get(k1)
     if F is not None:
         return F
-    gvec = one_plus_r1r2_ray(sd)
+    gvec = sd.one_plus_r1r2_ray
 
     def log_abs_over_root(t):
         # In t = s + A, so that a node next to s = -A keeps its distance
@@ -261,7 +261,7 @@ def F_infinity(sd: SpectralData, k1: float) -> complex:
     else:
         piece = -tanh_sinh(spec.eval, t1, -A, tol=_PIECE_TOL)[0].real
     if k1 not in table.im_F_inf:
-        _unwound_log(sd, gvec, k1)
+        _unwound_log(sd, k1)
     F = table.F_inf[k1] = complex((table.tail + piece) / (2 * np.pi), table.im_F_inf[k1])
     return F
 
@@ -392,26 +392,22 @@ def q_central(
 def q_transition(
     sd: SpectralData, x: float, t: float, params: AsymptoticParams | None = None
 ) -> complex:
-    """Leading term along fixed x != 0 as t grows (transition strip)."""
+    """Leading term along fixed x != 0 as t grows (transition strip): the
+    central plane wave of x's side times (2A - i D e) / (2A + i D e), with
+    e = e^(-2A|x|) in (0, 1] and D = d(A) for x > 0, -conj d(A) for x < 0."""
     if not math.isfinite(x):
         raise ValueError(f"station must be finite, got x={x}")
     if x == 0.0:
         raise RegionMismatch("the transition profile is not defined at x = 0")
     p = params if params is not None else transition_params(sd)
-    A, dA, F_inf = p.A, p.dA, p.F_inf
-    if x > 0:
-        e = cmath.exp(-2.0 * A * x)
-        den = 2.0 * A + 1j * dA * e
-        if abs(den) < _STATION_GUARD:
-            raise SingularStation(f"singular station: |2A + i d(A) e^(-2Ax)| < {_STATION_GUARD} at x={x}")
-        ratio = (2.0 * A - 1j * dA * e) / den
-        return _plane_wave(A, F_inf, t, True) * ratio
-    e = cmath.exp(-2.0 * A * x)
-    den = 2.0 * A * e - 1j * np.conj(dA)
+    if p.region is not RegionTag.TRANSITION_AXIS:
+        raise RegionMismatch(f"params region {p.region} is not the transition axis")
+    A, D = p.A, (p.dA if x > 0 else -p.dA.conjugate())
+    De = D * cmath.exp(-2.0 * A * abs(x))
+    den = 2.0 * A + 1j * De
     if abs(den) < _STATION_GUARD:
-        raise SingularStation(f"singular station: x<0 denominator < {_STATION_GUARD} at x={x}")
-    ratio = (2.0 * A * e + 1j * np.conj(dA)) / den
-    return _plane_wave(A, F_inf, t, False) * ratio
+        raise SingularStation(f"singular station: |2A + i D e^(-2A|x|)| < {_STATION_GUARD} at x={x}")
+    return _plane_wave(A, p.F_inf, t, x > 0) * ((2.0 * A - 1j * De) / den)
 
 
 def transition_continuous_at_zero(sd: SpectralData) -> bool:

@@ -13,7 +13,7 @@ vector evaluator abc(k, side) of (a1, a2, b) on an array of k:
   transfer matrix across it, on a cell grid built from the sampler,
   whose cells also carry the norming constant at k = 0 on first use.
 
-A source may also give a faster product a1 a2 on the ray s < -A, which
+Each source also gives 1 + r1 r2 = 1 / (a1 a2) on the ray s < -A, which
 the quadratures of the asymptotic layer evaluate.  The closed forms and
 the numerical route are interchangeable on pure steps, which is the main
 cross-validation used by the test suite.
@@ -103,8 +103,9 @@ class SpectralData:
     gamma_plus() gives the norming constant of the k = 0 zero (b_+(0)
     when b is analytic), nan when the Jost route cannot resolve it; only
     d(A) calls it.  a10 is the linear coefficient of a1_+ at k = 0.
-    a1a2_ray(s, sp=None), when given, is a faster a1(s) a2(s) elementwise
-    on the ray s < -A; sp, when given, is the exact s + A (see
+    one_plus_r1r2_ray(s, sp=None) is 1 + r1(s) r2(s) = 1 / (a1(s) a2(s))
+    elementwise on the ray s < -A (the determinant relation
+    a1 a2 + b(s) conj(b(-s)) = 1); sp, when given, is the exact s + A (see
     branches.f_array), so that nodes next to -A keep their distance.
     """
 
@@ -113,7 +114,7 @@ class SpectralData:
     a10: complex
     gamma_plus: Callable[[], complex]
     source: Source
-    a1a2_ray: Callable[..., np.ndarray] | None = None
+    one_plus_r1r2_ray: Callable[..., np.ndarray]
 
     def __post_init__(self):
         object.__setattr__(self, "_memo", {})
@@ -223,7 +224,7 @@ def step_spectral(profile: StepProfile) -> SpectralData:
         a10=a10,
         gamma_plus=lambda: gamma,
         source=Source.CLOSED_FORM_STEP,
-        a1a2_ray=lambda s, sp=None: _step_a1a2_vec(s, A, R, sp),
+        one_plus_r1r2_ray=lambda s, sp=None: 1.0 / _step_a1a2_vec(s, A, R, sp),
     )
 
 
@@ -250,7 +251,7 @@ def soliton_spectral(A: float, phi0: float) -> SpectralData:
         a10=-1j / (2 * A),
         gamma_plus=lambda: gamma,
         source=Source.REFLECTIONLESS_SOLITON,
-        a1a2_ray=lambda s, sp=None: np.ones(np.shape(s), dtype=complex),
+        one_plus_r1r2_ray=lambda s, sp=None: np.ones(np.shape(s), dtype=complex),
     )
 
 
@@ -506,8 +507,8 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     mirrors -conj(k) of those off the cut (reflection's r2 needs b
     there) and the small-k fit points are evaluated in one batch per side
     and memoised; any other k costs one more transfer product.  On the
-    ray, a1a2_ray is the same product with f and w formed from the exact
-    s + A when given.
+    ray, 1 + r1 r2 = 1 / (a1 a2) comes from the same product with f and w
+    formed from the exact s + A when given.
     A build is transfer products only: gamma_plus sweeps the cells at
     k = 0 on its first call (_norming_wronskian).
     """
@@ -516,10 +517,10 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     def abc(k, side=CutSide.OFF):
         return tr.abc(k, *fw_array(k, A, side), side)
 
-    def a1a2_ray(s, sp=None):
+    def one_plus_r1r2_ray(s, sp=None):
         k = np.asarray(s, dtype=complex)
         a1, a2, _ = tr.abc(k, *fw_array(k, A, CutSide.OFF, sp))
-        return a1 * a2
+        return 1.0 / (a1 * a2)
 
     k_samples = [complex(k) for k in k_samples]
     on_cut = [k for k in k_samples if k.imag == 0.0 and abs(k.real) < A]
@@ -534,7 +535,7 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
         a10=a10,
         gamma_plus=functools.cache(lambda: _norming_wronskian(tr, A)),
         source=Source.NUMERIC_JOST,
-        a1a2_ray=a1a2_ray,
+        one_plus_r1r2_ray=one_plus_r1r2_ray,
     )
     sd._memo.update(memo)
     return sd
@@ -579,25 +580,6 @@ def one_plus_r1r2(sd: SpectralData, k: float, side: CutSide = CutSide.OFF) -> co
     return 1.0 + r1 * r2
 
 
-def one_plus_r1r2_ray(sd: SpectralData) -> Callable[..., np.ndarray]:
-    """Vectorized 1 + r1(s) r2(s) on the ray s < -A, as g(s, sp=None).
-
-    Uses the determinant relation a1 a2 + b(s) conj(b(-s)) = 1, which turns
-    the product into 1 / (a1 a2).  sp, the exact s + A, goes through to
-    a1a2_ray, so that a node within rounding of -A keeps its distance
-    there.  Data without a1a2_ray take the product from one abc call and
-    ignore sp.
-    """
-    a1a2 = sd.a1a2_ray
-    if a1a2 is None:
-
-        def a1a2(s, sp=None):
-            a1, a2, _ = sd.abc(s.astype(complex), CutSide.OFF)
-            return a1 * a2
-
-    return lambda s, sp=None: 1.0 / a1a2(np.asarray(s, dtype=float), sp)
-
-
 def endpoint_zero(sd: SpectralData) -> tuple[bool, complex]:
     """Whether 1 + r1 r2 vanishes at k = -A, with the probe value.
 
@@ -605,7 +587,7 @@ def endpoint_zero(sd: SpectralData) -> tuple[bool, complex]:
     modulus at the reference point -2A.
     """
     A = sd.A
-    g = one_plus_r1r2_ray(sd)
+    g = sd.one_plus_r1r2_ray
     probe = complex(g(np.array([-A * (1.0 + 1e-8)]))[0])
     ref = complex(g(np.array([-2.0 * A]))[0])
     return abs(probe) < 1e-6 * max(abs(ref), 1e-300), probe
@@ -664,7 +646,7 @@ def check_assumptions(sd: SpectralData) -> AssumptionReport:
     at the origin with purely imaginary linear coefficient, (iii) the
     running winding of arg(1 + r1 r2) on (-inf, -A) staying inside
     (-pi, pi), and (iv) whether 1 + r1 r2 vanishes at k = -A.  Both read
-    1 + r1 r2 from one_plus_r1r2_ray, the form delta and F_inf integrate.
+    the data's one_plus_r1r2_ray, the form delta and F_inf integrate.
     """
     A = sd.A
     notes = []
@@ -687,7 +669,7 @@ def check_assumptions(sd: SpectralData) -> AssumptionReport:
 
     if sd.source is Source.REFLECTIONLESS_SOLITON:
         notes.append("reflectionless data: 1 + r1 r2 = 1 identically")
-    path = IntegrandSpec(eval=one_plus_r1r2_ray(sd), decay_estimate=ray_decay(A))
+    path = IntegrandSpec(eval=sd.one_plus_r1r2_ray, decay_estimate=ray_decay(A))
     _, cum = running_winding(path, -A * (1.0 + 1e-6))
     winding_sup = float(np.max(np.abs(cum)))
     at_minus_A, endpoint_val = endpoint_zero(sd)

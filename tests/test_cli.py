@@ -154,6 +154,20 @@ class TestSpectralCommand:
         assert sizes[:2] == [400, 6]
         assert len(sizes) == 6
 
+    def test_blank_csv_rows_are_skipped(self, tmp_path):
+        # A blank line in the middle and one after the last row leave the
+        # table as it is for the clean file.
+        clean = _write_tanh_csv(tmp_path / "clean.csv", 8.0, 161)
+        lines = clean.read_text().splitlines(keepends=True)
+        blank = tmp_path / "blank.csv"
+        blank.write_text("".join(lines[:80]) + "\n" + "".join(lines[80:]) + "\n")
+        for path, out in ((clean, "a"), (blank, "b")):
+            args = ["spectral", "--input-csv", str(path), "--k-grid", "1.1:4:5"]
+            assert main(args + ["--out-dir", str(tmp_path / out)]) == 0
+        assert (tmp_path / "a" / "spectral_data.csv").read_bytes() == (
+            tmp_path / "b" / "spectral_data.csv"
+        ).read_bytes()
+
     def test_bad_grid_is_config_error(self, tmp_path):
         rc = main(["spectral", "--k-grid", "nope", "--out-dir", str(tmp_path / "x")])
         assert rc == 2
@@ -211,6 +225,13 @@ class TestAsymCommand:
         vals = {float(r[0]): float(r[header.index("abs_q")]) for r in rows}
         assert vals[0.5] == pytest.approx(math.tanh(0.5), abs=1e-6)
         assert vals[-0.5] == pytest.approx(math.tanh(0.5), abs=1e-6)
+
+    def test_far_stations(self, tmp_path):
+        # |x| = 400 puts e^(-2A|x|) below the smallest float on both sides.
+        out = tmp_path / "far"
+        assert main(["asym", "--x=-400,400", "--t", "10", "--out-dir", str(out)]) == 0
+        header, rows = _read_csv(out / "asym.csv")
+        assert [float(r[header.index("abs_q")]) for r in rows] == pytest.approx([1.0, 1.0])
 
     def test_boundary_ray_is_region_error(self, tmp_path, capsys):
         # The library refuses the ray and names the region it lies in.
@@ -364,6 +385,18 @@ class TestSimulateAndCompare:
         header, rows = _read_csv(out / "snapshots.csv")
         assert header == ["t", "x", "re_q", "im_q", "abs_q"]
         assert len(rows) == 2 * 201
+
+    @pytest.mark.parametrize("N, rc", [(200.0, 0), (200.5, 2), (math.inf, 2)])
+    def test_non_integral_N_is_config_error(self, tmp_path, soliton_config, capsys, N, rc):
+        cfg = json.loads(soliton_config.read_text())
+        soliton_config.write_text(json.dumps({**cfg, "N": N}))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(soliton_config), "--out-dir", str(out)]) == rc
+        if rc:
+            assert json.loads(capsys.readouterr().err)["kind"] == "config"
+            assert not (out / "snapshots.csv").exists()
+        else:
+            assert len(_read_csv(out / "snapshots.csv")[1]) == 2 * 201
 
     def test_compare_soliton_predictor(self, tmp_path, soliton_config):
         out = tmp_path / "cmp"

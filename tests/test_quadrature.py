@@ -33,7 +33,6 @@ from nnlstep.quadrature import (
 from nnlstep.spectral import (
     CutSide,
     _closed_contour_winding,
-    one_plus_r1r2_ray,
     ray_decay,
 )
 
@@ -111,7 +110,7 @@ class TestTanhSinh:
     def test_wide_oscillating_cell(self):
         # The Re F_inf integrand of the step A = 1, R = 1.5 on the 9th cell of
         # the walk from the ray xi = 1.5: about 245 periods, modulus <= 6e-8.
-        g = one_plus_r1r2_ray(step_spectral(StepProfile(A=1.0, R=1.5)))
+        g = step_spectral(StepProfile(A=1.0, R=1.5)).one_plus_r1r2_ray
 
         def fn(s):
             return np.log(np.abs(g(s))) / np.sqrt(s * s - 1.0)
@@ -352,7 +351,7 @@ class TestArrayUnwinding:
     @pytest.mark.parametrize("k_end", [-1.0 - 1e-6, -1.3, -2.5, -6.0])
     def test_matches_sequential_loop_bitwise(self, R, k_end):
         sd = step_spectral(StepProfile(A=1.0, R=R))
-        spec = IntegrandSpec(one_plus_r1r2_ray(sd), decay_estimate=ray_decay(1.0))
+        spec = IntegrandSpec(sd.one_plus_r1r2_ray, decay_estimate=ray_decay(1.0))
         grid, cum = running_winding(spec, k_end)
         ref_grid, ref_cum = _sequential_running_winding(spec, k_end, _WINDING_SAMPLES)
         assert np.array_equal(grid, ref_grid)
@@ -397,7 +396,7 @@ class TestArrayUnwinding:
     @pytest.mark.parametrize("z0", [None, -1.5 + 0.002j])
     def test_probe_stays_within_4_to_the_8_rungs(self, R, z0):
         seen = []
-        g = one_plus_r1r2_ray(step_spectral(StepProfile(A=1.0, R=R)))
+        g = step_spectral(StepProfile(A=1.0, R=R)).one_plus_r1r2_ray
 
         def path(s):
             seen.append(np.asarray(s))

@@ -52,7 +52,7 @@ from nnlstep.quadrature import (
     semiinfinite_integral,
     tanh_sinh,
 )
-from nnlstep.spectral import one_plus_r1r2_ray, ray_decay
+from nnlstep.spectral import ray_decay
 
 
 def _g_centered_step(s):
@@ -67,29 +67,20 @@ class TestDelta:
         assert dd.zero_at_minus_A
         assert math.isnan(dd.nu.real)
 
-    def test_modulated_ray_never_samples_near_minus_A(self, step_sd, monkeypatch):
+    def test_modulated_ray_never_samples_near_minus_A(self, step_sd):
         # The endpoint-zero probe belongs to k1 = -A alone; a modulated ray
         # has no use for samples next to -A.
-        import nnlstep.rh_asymptotics as rh
-        import nnlstep.spectral as spectral
-
         seen = []
-        vec = spectral.one_plus_r1r2_ray
+        g = step_sd.one_plus_r1r2_ray
 
-        def recording(sd):
-            g = vec(sd)
+        def sampled(s):
+            seen.append(np.atleast_1d(np.asarray(s, dtype=float)).copy())
+            return g(s)
 
-            def sampled(s):
-                seen.append(np.atleast_1d(np.asarray(s, dtype=float)).copy())
-                return g(s)
-
-            return sampled
-
-        # Both bindings: delta_data's own and the one endpoint_zero reads.
-        monkeypatch.setattr(rh, "one_plus_r1r2_ray", recording)
-        monkeypatch.setattr(spectral, "one_plus_r1r2_ray", recording)
+        # The one field that delta_data and endpoint_zero both read.
+        sd = dataclasses.replace(step_sd, one_plus_r1r2_ray=sampled)
         k1 = -0.5 * (2.0 + math.sqrt(6.0))  # the ray xi = 2, A = 1
-        delta_data(step_sd, k1)
+        delta_data(sd, k1)
         points = np.concatenate(seen)
         assert points.size > 0
         assert np.min(np.abs(points + 1.0)) > 1e-6
@@ -153,6 +144,7 @@ class TestDelta:
         sd = SpectralData(
             A=1.0, abc=abc, a10=-1j,
             gamma_plus=lambda: -1.0, source=Source.NUMERIC_JOST,
+            one_plus_r1r2_ray=lambda s, sp=None: 1.0 / abc(np.asarray(s, dtype=complex))[0],
         )
         with pytest.raises(WindingOutOfRange):
             delta_data(sd, -1.5)
@@ -360,15 +352,28 @@ class TestProfiles:
         with pytest.raises(ValueError, match="station must be finite"):
             q_transition(step_sd, x, 5.0)
 
-    def test_singular_station_guard(self, step_sd):
-        x0 = 0.5
+    @pytest.mark.parametrize("x0", [0.5, -0.5])
+    def test_singular_station_guard(self, step_sd, x0):
+        # d(A) = 2i e^(2A|x0|) zeroes 2A + i D e^(-2A|x0|) on either side:
+        # D = d(A) for x0 > 0 and -conj d(A) = d(A) for x0 < 0.
         crafted = AsymptoticParams(
             region=RegionTag.TRANSITION_AXIS, A=1.0, k1=-1.0,
             F_inf=0.0 + 0.0j, error_exponent=math.inf,
-            dA=2j * math.exp(2.0 * x0),
+            dA=2j * math.exp(2.0 * abs(x0)),
         )
         with pytest.raises(SingularStation):
             q_transition(step_sd, x0, 5.0, params=crafted)
+
+    def test_far_station_is_the_central_wave(self, step_sd):
+        # e^(-2A|x|) underflows to 0 at |x| = 400, leaving the central plane
+        # wave of x's side.
+        for t in (10.0, 40.0):
+            assert abs(q_transition(step_sd, -400.0, t) - q_central(step_sd, -0.2, t)) < 1e-12
+            assert abs(q_transition(step_sd, 400.0, t) - q_central(step_sd, 0.2, t)) < 1e-12
+
+    def test_modulated_params_refused(self, step_sd):
+        with pytest.raises(RegionMismatch):
+            q_transition(step_sd, 0.5, 5.0, params=modulated_params(step_sd, 0.75))
 
     def test_soliton_pole(self):
         with pytest.raises(SolitonPole):
@@ -388,7 +393,7 @@ def _walker_F_inf(sd, k1, tol=1e-8):
     runs in t = s + A, so that at k1 = -A the walker's nodes keep their
     distance t to the log singularity instead of rounding onto it."""
     A = sd.A
-    g = one_plus_r1r2_ray(sd)
+    g = sd.one_plus_r1r2_ray
     decay = max(1.0, 2.0 * A)
     k_end = k1 - 1e-9 * max(1.0, abs(k1))
     grid, cum = running_winding(IntegrandSpec(g, decay), k_end)
@@ -452,7 +457,7 @@ class TestRayTable:
         sd = step_spectral(StepProfile(A=A, R=-1.0))
         k1 = _k1(0.6, A)
         k_end = k1 - 1e-9 * max(1.0, abs(k1))
-        grid, cum = running_winding(IntegrandSpec(one_plus_r1r2_ray(sd), ray_decay(A)), k_end)
+        grid, cum = running_winding(IntegrandSpec(sd.one_plus_r1r2_ray, ray_decay(A)), k_end)
 
         def im(s):
             return np.interp(s, grid, cum, left=0.0, right=cum[-1]) / math.sqrt(s * s - A * A)
@@ -633,7 +638,7 @@ class TestExactEndpoint:
         # Rays on either side of -2A differ by a finite integral alone.
         A = 1.0
         sd = step_spectral(StepProfile(A=A, R=0.33))
-        g = one_plus_r1r2_ray(sd)
+        g = sd.one_plus_r1r2_ray
 
         def integrand(s):
             return math.log(abs(complex(g(np.array([s]))[0]))) / math.sqrt(s * s - A * A)
@@ -642,21 +647,16 @@ class TestExactEndpoint:
         got = F_infinity(sd, kb).real - F_infinity(sd, ka).real
         assert abs(got - val / (2 * np.pi)) < 1e-11
 
-    def test_central_F_inf_is_cheap(self, monkeypatch):
+    def test_central_F_inf_is_cheap(self):
         points = []
-        vec = rh.one_plus_r1r2_ray
+        sd = step_spectral(StepProfile(A=1.0, R=0.0))
+        g = sd.one_plus_r1r2_ray
 
-        def counting(sd):
-            g = vec(sd)
+        def sampled(s, *sp):
+            points.append(np.size(s))
+            return g(s, *sp)
 
-            def sampled(s, *sp):
-                points.append(np.size(s))
-                return g(s, *sp)
-
-            return sampled
-
-        monkeypatch.setattr(rh, "one_plus_r1r2_ray", counting)
-        F_infinity(step_spectral(StepProfile(A=1.0, R=0.0)), -1.0)
+        F_infinity(dataclasses.replace(sd, one_plus_r1r2_ray=sampled), -1.0)
         assert sum(points) < 5000
 
     @pytest.mark.parametrize("fn", [F_infinity, delta_data])
