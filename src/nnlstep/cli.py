@@ -127,12 +127,11 @@ def _load_initial_csv(path: str, A: float) -> InitialData:
         raise CliError("io", f"input CSV not found: {path}")
     xs, res, ims = [], [], []
     with p.open() as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if not any(c.strip() for c in row):
-                continue  # blank row
-            if i == 0 and any(not _is_number(c) for c in row):
-                continue  # header
+        rows = [(i, row) for i, row in enumerate(csv.reader(fh))
+                if any(c.strip() for c in row)]  # blank rows are skipped
+        for j, (i, row) in enumerate(rows):
+            if j == 0 and any(not _is_number(c) for c in row):
+                continue  # header: the first row that is not blank
             if len(row) < 3:
                 raise CliError("io", f"row {i} of {path} has fewer than 3 columns")
             try:

@@ -8,6 +8,13 @@ boundary values +-A e^{-2 i A^2 t}.  The RK4 stages are carried as
 kt = k / (2i) and combined by level-1 BLAS updates (``zaxpy``,
 ``zcopy``), in place on buffers allocated once per run.
 
+On odd data conj(q(-x)) = -conj(q(x)), so the equation reduces to the
+local defocusing NLS i q_t + q_xx - 2|q|^2 q = 0, which keeps them odd.
+``step``, ``evolve`` (and so the CLI's ``simulate`` and ``compare``)
+step a field that is exactly odd on the grid, q[N-m] == -q[m] for every
+m, on the half-line [0, L] alone and mirror it back; every other field
+takes the whole-line step.
+
 This solver is the independent oracle for the asymptotic evaluators:
 nothing in it shares code with the Riemann-Hilbert machinery.
 """
@@ -156,15 +163,22 @@ class _RK4Stepper:
     entries follow the exact orbit of the Dirichlet values,
     dq/dt = -2 i A^2 q, and are reset onto it after every step.
 
-    Each stage is carried scaled, as kt = k / (2i): q^2 conj(q reflected)
-    + (q[m+1] - 2q[m] + q[m-1]) / (2 dx^2) inside and -A^2 q at the ends.
-    The factor 2i rides on the BLAS coefficients: the stencil is three
-    ``zaxpy`` calls onto the nonlinear term, a stage argument is
-    ``zcopy`` of q plus one ``zaxpy`` (a = i dt or 2i dt), kt1 is formed
-    in the accumulator and kt2..kt4 are added to it with weights 2, 2, 1,
-    and one ``zaxpy`` of weight 2i dt / 6 adds the sum to q.  A fused
-    update rounds differently from NumPy's multiply-then-add, so a step
-    agrees with a textbook RK4 to rounding, not bit for bit.
+    Each stage is carried scaled, as kt = sigma k / (2i): q^2 conj(q
+    reflected) + sigma (q[m+1] - 2q[m] + q[m-1]) / (2 dx^2) inside and
+    -sigma A^2 q at the ends.  The factor 2i / sigma rides on the BLAS
+    coefficients: the stencil is three ``zaxpy`` calls onto the nonlinear
+    term, a stage argument is ``zcopy`` of q plus one ``zaxpy`` (a =
+    sigma i dt or sigma 2i dt), kt1 is formed in the accumulator and
+    kt2..kt4 are added to it with weights 2, 2, 1, and one ``zaxpy`` of
+    weight sigma 2i dt / 6 adds the sum to q.  A fused update rounds
+    differently from NumPy's multiply-then-add, so a step agrees with a
+    textbook RK4 to rounding, not bit for bit.
+
+    The whole line (sigma = 1) reads the reflection q[N-m].  With
+    ``odd=True`` the stepper holds only the half-line [0, L] of an odd
+    field (sigma = -1): there conj(q(-x)) = -conj(q(x)), so the nonlinear
+    term is -|q|^2 q, whose minus sign sigma carries; q(0) = 0 is pinned
+    (its rate -sigma A^2 q(0) vanishes) and x = L keeps the orbit.
 
     The buffers are allocated once here, so a step allocates no array.
     Every BLAS target is a whole contiguous complex128 buffer (or q,
@@ -172,18 +186,21 @@ class _RK4Stepper:
     else and the update would be lost.
     """
 
-    def __init__(self, grid: Grid, cfg: SimConfig, A: float):
+    def __init__(self, grid: Grid, cfg: SimConfig, A: float, *, odd: bool = False):
         cfg.check_cfl(grid)
-        n = grid.N + 1
+        n = grid.N // 2 + 1 if odd else grid.N + 1
+        sigma = -1.0 if odd else 1.0
         self.n = n
+        self.odd = odd
+        self.reflect = slice(1, -1) if odd else slice(-2, 0, -1)
         self.A = A
         self.dt = cfg.dt
-        self.c = 0.5 / grid.dx**2
-        self.minus_a2 = -A * A
+        self.c = sigma * 0.5 / grid.dx**2
+        self.minus_a2 = sigma * -A * A
         self.orbit = -2j * A * A
-        self.i_dt = 1j * cfg.dt
-        self.two_i_dt = 2j * cfg.dt
-        self.weight = 2j * cfg.dt / 6.0
+        self.i_dt = sigma * 1j * cfg.dt
+        self.two_i_dt = sigma * 2j * cfg.dt
+        self.weight = sigma * 2j * cfg.dt / 6.0
         self.kt = np.empty(n, dtype=complex)
         self.acc = np.empty(n, dtype=complex)  # kt1 + 2 kt2 + 2 kt3 + kt4
         self.arg = np.empty(n, dtype=complex)
@@ -194,13 +211,14 @@ class _RK4Stepper:
         self.re_im_bound = self.bound / math.sqrt(2.0) * (1.0 - 1e-12)
 
     def _rhs(self, q: np.ndarray, kt: np.ndarray) -> None:
-        """kt = q[m]^2 conj(q[N-m]) + (q[m+1] - 2q[m] + q[m-1]) / (2 dx^2)
-        inside and -A^2 q at the ends; the nonlinear term goes first so
-        that one scratch array suffices."""
+        """kt = q[m]^2 conj(q[N-m]) + sigma (q[m+1] - 2q[m] + q[m-1]) /
+        (2 dx^2) inside and -sigma A^2 q at the ends (on the half-line the
+        reflection is q[m] itself); the nonlinear term goes first so that
+        one scratch array suffices."""
         s, m, c = self.scratch, self.n - 2, self.c
         inner = kt[1:-1]
         np.square(q[1:-1], out=inner)
-        np.conjugate(q[-2:0:-1], out=s)
+        np.conjugate(q[self.reflect], out=s)
         np.multiply(inner, s, out=inner)
         # Positional zaxpy(x, y, n, a, offx, incx, offy): kt[1:-1] += a q[offx:offx+m].
         zaxpy(q, kt, m, c, 2, 1, 1)
@@ -210,7 +228,8 @@ class _RK4Stepper:
         kt[-1] = self.minus_a2 * q[-1]
 
     def _stage_arg(self, q: np.ndarray, kt: np.ndarray, a: complex) -> np.ndarray:
-        """arg = q + a kt, with a = i dt (half step) or 2i dt (full step)."""
+        """arg = q + a kt, with a = sigma i dt (half step) or sigma 2i dt
+        (full step)."""
         zcopy(q, self.arg)
         zaxpy(kt, self.arg, self.n, a)
         return self.arg
@@ -230,7 +249,7 @@ class _RK4Stepper:
         zaxpy(acc, q, n, self.weight)
         t_new = t + self.dt
         bc = self.A * cmath.exp(self.orbit * t_new)
-        q[0] = -bc
+        q[0] = 0.0 if self.odd else -bc
         q[-1] = bc
         # The stage argument is free once a step is combined; its storage
         # holds |Re q|, |Im q| and, past the cheap screen, |q|.  Written as
@@ -246,36 +265,71 @@ class _RK4Stepper:
                 )
         return t_new
 
+    def full(self, q: np.ndarray) -> np.ndarray:
+        """A new full-grid array of the field q that this stepper holds."""
+        if not self.odd:
+            return q.copy()
+        out = np.empty(2 * self.n - 1, dtype=complex)
+        out[self.n - 1 :] = q
+        np.negative(q[:0:-1], out=out[: self.n - 1])
+        return out
+
+
+def _is_odd(q: np.ndarray) -> bool:
+    """Whether q[N-m] == -q[m] exactly for every m.  The centre is looked
+    at first, so that most other data cost O(1); a NaN is never odd."""
+    h = q.size // 2
+    return bool(q[h] == 0) and np.array_equal(q[:h], -q[:h:-1])
+
+
+def _start(fld: Field, cfg: SimConfig, A: float) -> tuple[_RK4Stepper, np.ndarray]:
+    """The stepper of a field and a private working copy for it to advance:
+    the half-line [0, L] of an exactly odd field, else the whole line."""
+    values = np.asarray(fld.values, dtype=complex)
+    if _is_odd(values):
+        return _RK4Stepper(fld.grid, cfg, A, odd=True), values[fld.grid.N // 2 :].copy()
+    return _RK4Stepper(fld.grid, cfg, A), values.copy()
+
 
 def step(fld: Field, cfg: SimConfig, A: float) -> Field:
     """One classic RK4 step; boundary values are reset to the exact
-    Dirichlet orbit afterwards.  Returns a new Field; ``fld`` is unchanged."""
-    stepper = _RK4Stepper(fld.grid, cfg, A)
-    values = np.array(fld.values, dtype=complex)
-    t = fld.t if cfg.dt == 0.0 else stepper.advance(values, fld.t)
-    return Field(t, values, fld.grid)
+    Dirichlet orbit afterwards.  Returns a new Field; ``fld`` is unchanged.
+    An exactly odd field is stepped on the half-line, as in ``evolve``."""
+    stepper, q = _start(fld, cfg, A)
+    if cfg.dt == 0.0:
+        return Field(fld.t, np.array(fld.values, dtype=complex), fld.grid)
+    t = stepper.advance(q, fld.t)
+    return Field(t, stepper.full(q), fld.grid)
 
 
 def evolve(fld: Field, cfg: SimConfig, A: float) -> list[Field]:
     """March to t_end, returning snapshots at the requested record times
     (each rounded to the nearest step).  The field advances in place on a
-    private copy; every snapshot owns its array and ``fld`` is unchanged."""
-    stepper = _RK4Stepper(fld.grid, cfg, A)
+    private copy; every snapshot owns its array and ``fld`` is unchanged.
+
+    On odd data conj(q(-x)) = -conj(q(x)), so the equation is the local
+    defocusing NLS i q_t + q_xx - 2|q|^2 q = 0, which keeps them odd.  A
+    field that is exactly odd on the grid (q[N-m] == -q[m] for every m,
+    as the centred step is) is therefore stepped on [0, L] alone, with
+    q(0) = 0 pinned, and each snapshot is its mirror on the full grid.
+    This does half the work and agrees with the whole-line step to
+    rounding (about 1e-14 relative), not bit for bit.  Every other field,
+    however close to odd, takes the whole-line step."""
+    stepper, q = _start(fld, cfg, A)
     if cfg.dt > 0:
         n_steps = int(round(cfg.t_end / cfg.dt))
         record_steps = sorted({int(round(rt / cfg.dt)) for rt in cfg.record_times})
     else:
         n_steps, record_steps = 0, [0] if cfg.record_times else []
-    q = np.array(fld.values, dtype=complex)
     t = fld.t
     snapshots: list[Field] = []
     if record_steps and record_steps[0] == 0:
-        snapshots.append(Field(t, q.copy(), fld.grid))
+        snapshots.append(Field(t, np.array(fld.values, dtype=complex), fld.grid))
         record_steps = record_steps[1:]
     for n in range(1, n_steps + 1):
         t = stepper.advance(q, t)
         if record_steps and n == record_steps[0]:
-            snapshots.append(Field(t, q.copy(), fld.grid))
+            snapshots.append(Field(t, stepper.full(q), fld.grid))
             record_steps = record_steps[1:]
     return snapshots
 

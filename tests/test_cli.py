@@ -168,6 +168,18 @@ class TestSpectralCommand:
             tmp_path / "b" / "spectral_data.csv"
         ).read_bytes()
 
+    def test_header_after_a_leading_blank_line(self, tmp_path):
+        # The header is the first row that is not blank, wherever it lies.
+        table = "x,re_q0,im_q0\n-4,-1,0\n0,0,0\n4,1,0\n"
+        for name, text in (("plain.csv", table), ("lead.csv", "\n" + table)):
+            path = tmp_path / name
+            path.write_text(text)
+            args = ["spectral", "--input-csv", str(path), "--k-grid", "1.1:4:5"]
+            assert main(args + ["--out-dir", str(tmp_path / name[:-4])]) == 0
+        assert (tmp_path / "plain" / "spectral_data.csv").read_bytes() == (
+            tmp_path / "lead" / "spectral_data.csv"
+        ).read_bytes()
+
     def test_bad_grid_is_config_error(self, tmp_path):
         rc = main(["spectral", "--k-grid", "nope", "--out-dir", str(tmp_path / "x")])
         assert rc == 2

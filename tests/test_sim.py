@@ -23,6 +23,7 @@ from nnlstep import (
     q_soliton,
     step,
 )
+from nnlstep import nnls_sim
 from nnlstep.nnls_sim import _RK4Stepper
 
 
@@ -306,6 +307,118 @@ class TestInPlaceStepper:
         out = step(fld, cfg, 1.0)
         assert not np.shares_memory(out.values, fld.values)
         assert np.array_equal(fld.values, before)
+
+
+def _centred_step(L: float, N: int) -> Field:
+    g = Grid(L=L, N=N)
+    with pytest.warns(GridTooCoarse):
+        return init_field(StepProfile(A=1.0, R=0.0), g)
+
+
+@pytest.fixture
+def odd_calls(monkeypatch):
+    """The oddness decisions that step and evolve take, in order."""
+    calls = []
+    is_odd = nnls_sim._is_odd
+
+    def spy(q):
+        calls.append(is_odd(q))
+        return calls[-1]
+
+    monkeypatch.setattr(nnls_sim, "_is_odd", spy)
+    return calls
+
+
+def _whole_line_evolve(monkeypatch, fld, cfg, A=1.0):
+    """evolve with the whole-line step forced, as for data that are not odd."""
+    with monkeypatch.context() as m:
+        m.setattr(nnls_sim, "_is_odd", lambda q: False)
+        return evolve(fld, cfg, A)
+
+
+class TestOddHalfLine:
+    """Exactly odd data are stepped on [0, L] as i q_t + q_xx - 2|q|^2 q = 0."""
+
+    @pytest.mark.parametrize(
+        "L, N",
+        [(80.0, 3200), pytest.param(1000.0, 40000, marks=pytest.mark.slow)],
+        ids=["3201_points", "40001_points"],
+    )
+    def test_matches_whole_line(self, L, N, monkeypatch, odd_calls):
+        fld = _centred_step(L, N)
+        dt = 0.2 * fld.grid.dx**2
+        cfg = SimConfig(dt=dt, t_end=2000 * dt, record_times=(1000 * dt, 2000 * dt))
+        snaps = evolve(fld, cfg, 1.0)
+        assert odd_calls == [True]
+        want = _whole_line_evolve(monkeypatch, fld, cfg)
+        assert [s.t for s in snaps] == [w.t for w in want]
+        for s, w in zip(snaps, want):
+            assert s.values.shape == (N + 1,)
+            assert np.array_equal(s.values[::-1], -s.values)
+            assert s.values.base is None
+            assert np.max(np.abs(s.values - w.values)) <= 1e-12 * np.max(np.abs(w.values))
+        assert not np.shares_memory(snaps[0].values, snaps[1].values)
+
+    def test_steps_equal_one_evolve(self, odd_calls):
+        fld = _centred_step(5.0, 50)
+        dt = 0.2 * fld.grid.dx**2
+        cfg = SimConfig(dt=dt, t_end=20 * dt, record_times=(20 * dt,))
+        last = evolve(fld, cfg, 1.0)[-1]
+        stepped = fld
+        for _ in range(20):
+            stepped = step(stepped, cfg, 1.0)
+        assert odd_calls == [True] * 21
+        assert stepped.t == last.t
+        assert np.array_equal(stepped.values, last.values)
+
+    @pytest.mark.parametrize("datum", ["one_ulp_off", "odd_soliton"])
+    def test_near_odd_data_take_the_whole_line(self, datum, monkeypatch, odd_calls):
+        if datum == "one_ulp_off":
+            fld = _centred_step(5.0, 50)
+            fld.values[10] = np.nextafter(fld.values[10].real, 0.0)
+        else:
+            # A tanh(Ax) up to the rounding of its phase: 3.5e-15 off odd.
+            fld = init_field(SolitonSpec(A=1.0, phi0=-math.pi / 2), Grid(L=20.0, N=800))
+        dt = 0.2 * fld.grid.dx**2
+        cfg = SimConfig(dt=dt, t_end=30 * dt, record_times=(15 * dt, 30 * dt))
+        snaps = evolve(fld, cfg, 1.0)
+        assert odd_calls == [False]
+        want = _whole_line_evolve(monkeypatch, fld, cfg)
+        assert all(np.array_equal(s.values, w.values) for s, w in zip(snaps, want))
+
+    def test_default_stepper_is_whole_line(self):
+        g = Grid(L=5.0, N=50)
+        assert _RK4Stepper(g, SimConfig(dt=0.001, t_end=1.0), 1.0).n == g.N + 1
+        assert _RK4Stepper(g, SimConfig(dt=0.001, t_end=1.0), 1.0, odd=True).n == g.N // 2 + 1
+
+    def test_blowup_matches_whole_line(self, monkeypatch, odd_calls):
+        # dt = 0.73 dx^2 is past the RK4 stability bound of the stencil, so
+        # the step's jump grows by about 1.2 a step until the guard fires.
+        fld = _centred_step(5.0, 50)
+        cfg = SimConfig(dt=0.73 * fld.grid.dx**2, t_end=1.0, cfl_coeff=1.0)
+        with pytest.raises(BlowupDetected) as half:
+            evolve(fld, cfg, 1.0)
+        assert odd_calls == [True]
+        with pytest.raises(BlowupDetected) as whole:
+            _whole_line_evolve(monkeypatch, fld, cfg)
+        assert half.value.t == whole.value.t
+        assert half.value.t > 5 * cfg.dt
+        assert half.value.max_abs == pytest.approx(whole.value.max_abs, rel=1e-12)
+
+    def test_half_line_step_allocates_no_array(self):
+        A, g = 1.0, Grid(L=100.0, N=4000)
+        q = np.where(g.x > 0, A, 0.0)[g.N // 2 :].astype(complex)
+        stepper = _RK4Stepper(g, SimConfig(dt=0.2 * g.dx**2, t_end=1.0), A, odd=True)
+        t = stepper.advance(q, 0.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                t = stepper.advance(q, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < q.nbytes
 
 
 class TestEvolveAndCompare:
