@@ -348,8 +348,10 @@ def cmd_compare(args) -> int:
         raise CliError("config", f"bad --window {args.window!r}, need finite lo < hi")
 
     if args.predictor == "soliton":
-        phi0 = q0.phi0 if isinstance(q0, SolitonSpec) else 0.0
-        predictor = lambda x, t: q_soliton(A, phi0, x, t)
+        if not isinstance(q0, SolitonSpec):
+            kind = "step" if isinstance(q0, StepProfile) else "csv"
+            raise CliError("config", f"--predictor soliton needs a soliton datum, not kind {kind!r}")
+        predictor = lambda x, t: q_soliton(A, q0.phi0, x, t)
     elif args.predictor == "transition":
         sd = _spectral_data(q0, A)
         params = transition_params(sd)

@@ -301,7 +301,19 @@ def F_plus_at_zero(sd: SpectralData, dd: DeltaData) -> complex:
 
 def transition_dA(sd: SpectralData) -> complex:
     """Transition constant d(A) = gamma_+ F_+^2(0,-A) / (a10 delta^2(0,-A)),
-    memoised per spectral data object for its lifetime."""
+    memoised per spectral data object for its lifetime.
+
+    F's kernel splits as (f(s) - f(k)) / (f(s)(s - k)) =
+    1/(s - k) - f(k) / (f(s)(s - k)), and the first part integrates to
+    ln delta.  So the ratio takes one Cauchy walk,
+
+        ln F_+(0) - ln delta(0) = (1/2 pi i) int_{-inf}^{-A}
+                                  f_+(0) ln(1+r1r2)(s) / (sqrt(s^2 - A^2) s) ds,
+
+    and d(A) = (gamma_+ / a10) exp(2 (ln F_+(0) - ln delta(0))).  f_+(0) = iA
+    stays inside the integrand, so the walker's absolute tolerance sees
+    the scale of F_+(0)'s own walk.
+    """
     gamma = complex(sd.gamma_plus())
     if cmath.isnan(gamma):
         raise MissingNormingConstant("spectral data has no norming constant gamma_+")
@@ -309,10 +321,17 @@ def transition_dA(sd: SpectralData) -> complex:
         raise MissingNormingConstant("spectral data has no valid a10 coefficient")
     table = _table(sd)
     if table.dA is None:
-        dd = delta_data(sd, -sd.A)
-        Fp0 = F_plus_at_zero(sd, dd)
-        d0 = dd.delta_at(0.0)
-        table.dA = gamma * Fp0**2 / (complex(sd.a10) * d0**2)
+        A = sd.A
+        log_g = delta_data(sd, -A).log_g_at
+        fp0 = f(0.0, A, CutSide.ABOVE)
+
+        def integrand(s):
+            s = np.asarray(s, dtype=float)
+            return fp0 * log_g(s) / np.sqrt(s * s - A * A)
+
+        spec = IntegrandSpec(integrand, ray_decay(A))
+        log_ratio = cauchy_semiinfinite(spec, -A, 0.0) / (2j * np.pi)
+        table.dA = gamma / complex(sd.a10) * cmath.exp(2.0 * log_ratio)
     return table.dA
 
 

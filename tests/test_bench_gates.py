@@ -37,6 +37,22 @@ def test_one_round_passes_every_gate(name, tmp_path):
     assert wl.final_checks(st).failures == {}
 
 
+def _traced_round(name, tmp_path):
+    """One seeded round of a workload, traced as round 0 and checked."""
+    wl = workloads.WORKLOADS[name]
+    rec = tracing.Recorder()
+    api = tracing.traced_api(rec, workloads.plain_api())
+    st = wl.setup(workloads.make_inputs(name, SEED), api)
+    wl.prepare(st, workloads.load_anchors(), tmp_path / name)
+    rec.round = 0
+    with tracing.boundaries(rec):
+        rnd = wl.round(api, st, lambda: 1.0)
+    rec.round = tracing.SETUP_ROUND
+    wl.check(st, rnd)
+    assert rnd.failures == {}
+    return wl, rec
+
+
 @pytest.mark.filterwarnings("ignore:initial datum jumps")
 def test_traced_cli_compare_round(tmp_path):
     # The traced run sees the CLI's predictor only through the names it
@@ -47,18 +63,7 @@ def test_traced_cli_compare_round(tmp_path):
     for mod_name in tracing.SPEC_MODULES:
         assert hasattr(importlib.import_module(mod_name), "IntegrandSpec")
 
-    wl = workloads.WORKLOADS["cli_compare"]
-    rec = tracing.Recorder()
-    api = tracing.traced_api(rec, workloads.plain_api())
-    st = wl.setup(workloads.make_inputs("cli_compare", SEED), api)
-    wl.prepare(st, workloads.load_anchors(), tmp_path / "cli_compare")
-    rec.round = 0
-    with tracing.boundaries(rec):
-        rnd = wl.round(api, st, lambda: 1.0)
-    rec.round = tracing.SETUP_ROUND
-    wl.check(st, rnd)
-    assert rnd.failures == {}
-
+    _, rec = _traced_round("cli_compare", tmp_path)
     predictor = [
         span for span in rec.spans
         if span[0] == "rh_asymptotics.modulated_params" and span[4] == 0
@@ -67,6 +72,18 @@ def test_traced_cli_compare_round(tmp_path):
     assert len(predictor) == 82
     main, parts = tracing.cli_balance(rec, 0)
     assert main > 0 and abs(main - parts) <= 1e-9 * main
+
+
+def test_traced_asym_rays_round(tmp_path):
+    # d(A) is the round's only Cauchy walk: one per R, as F_+(0)/delta(0)
+    # is a single integral; the modulated rays and F_inf walk none.
+    wl, rec = _traced_round("asym_rays", tmp_path)
+    walks = [
+        span for span in rec.spans
+        if span[0] == "quadrature.cauchy_semiinfinite" and span[4] == 0
+    ]
+    assert len(walks) == len(wl.R_SET) == 3
+    assert all(rec.spans[span[3]][0] == "rh_asymptotics.transition_params" for span in walks)
 
 
 def test_traced_jost_table_round_solves_no_ode(tmp_path):

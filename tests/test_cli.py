@@ -475,6 +475,31 @@ class TestSimulateAndCompare:
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
         assert not (out / "error_table.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::nnlstep.GridTooCoarse")
+    @pytest.mark.parametrize("kind", ["step", "csv"])
+    def test_soliton_predictor_refuses_other_data_before_evolve(
+        self, tmp_path, monkeypatch, capsys, kind
+    ):
+        # The soliton predictor needs the datum's phase phi0, which a step
+        # or CSV datum does not have.
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran before the predictor was checked")
+
+        monkeypatch.setattr(cli, "evolve", no_evolve)
+        initial = {"kind": "step", "R": 0.0}
+        if kind == "csv":
+            initial = {"kind": "csv", "path": str(_write_tanh_csv(tmp_path / "q.csv", 4.0, 33))}
+        cfg = {"A": 1.0, "L": 10.0, "N": 200, "dt": 0.002, "t_end": 0.1, "initial": initial}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        rc = main(["compare", "--config", str(path), "--predictor", "soliton",
+                   "--window=-5:5", "--out-dir", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "config" and repr(kind) in err["message"]
+        assert not (out / "error_table.csv").exists()
+
     @pytest.mark.parametrize("bad_row", ["nan,0,0", "0,inf,0", "0,0,-inf"])
     def test_non_finite_csv_is_io_error(self, tmp_path, bad_row):
         initial = tmp_path / "bad.csv"

@@ -188,13 +188,36 @@ class TestF:
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
-        reason="F_+(0)'s Cauchy walk starts with a tanh-sinh cell ending at k1 = -A in s, "
-        "which loses the endpoint mass (d(A) = -1.99999963i, 3.7e-7 off); ROADMAP item "
-        "1(b) walks it in t = s + A, which moves the R = -1 d(A) by 2.2e-6 and so needs "
-        "the benchmark anchors re-recorded",
+        reason="d(A)'s one Cauchy walk, of F_+(0)/delta(0), starts with a tanh-sinh cell "
+        "ending at k1 = -A in s, which loses the endpoint mass (d(A) = -1.99999963i, "
+        "3.7e-7 off); ROADMAP item 1(b) walks it in t = s + A, which moves the R = -1 "
+        "d(A) by 2.2e-6 and so needs the benchmark anchors re-recorded",
     )
     def test_transition_dA_is_exact_for_centred_step(self, step_sd):
         assert abs(transition_dA(step_sd) - (-2j)) < 1e-12
+
+    @pytest.mark.parametrize("A", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("R", [-1.5, -1.0, -0.5, 0.0, 0.33, 0.7, 1.5])
+    def test_transition_dA_is_one_walk_of_the_ratio(self, A, R, monkeypatch):
+        # d(A) walks F_+(0)/delta(0) as one integral; it agrees with the
+        # ratio of the two walks F_plus_at_zero and delta_at(0).
+        sd = step_spectral(StepProfile(A=A, R=R))
+        dd = delta_data(sd, -A)
+        want = sd.gamma_plus() * F_plus_at_zero(sd, dd) ** 2 / (sd.a10 * dd.delta_at(0.0) ** 2)
+        calls = []
+
+        def counting(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in ("cauchy_semiinfinite", "running_winding"):
+            monkeypatch.setattr(rh, name, counting(getattr(rh, name)))
+        got = transition_dA(step_spectral(StepProfile(A=A, R=R)))
+        assert abs(got - want) <= 1e-9 * abs(want)
+        assert sorted(calls) == ["cauchy_semiinfinite", "running_winding"]
 
     @pytest.mark.parametrize("R", [0.0, 0.7])
     def test_sampled_step_reaches_ray_layer(self, R):
