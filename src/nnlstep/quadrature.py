@@ -31,6 +31,9 @@ _T_MAX = 3.8  # tanh-sinh nodes span t in (-_T_MAX, _T_MAX)
 # block shares its last rung with the next and the 20 pairs end at rung 20.
 _PROBE_BLOCKS = ((0, 8), (8, 16), (16, 20))
 _WINDING_SAMPLES = 600  # points of every running_winding grid
+# v^2 for v from 1 to 0: a grid k_end - T v^2 is dense near k_end.
+_WINDING_V2 = np.linspace(1.0, 0.0, _WINDING_SAMPLES) ** 2
+_WINDING_V2.flags.writeable = False
 # The ray walker hands a tanh-sinh level longer than this to its integrand
 # in consecutive blocks, whose temporaries stay in cache.
 _WALK_BLOCK = 4096
@@ -277,8 +280,7 @@ def running_winding(gamma: IntegrandSpec, k_end: float):
     else:
         raise InconclusiveWinding("path argument does not settle toward -inf")
 
-    v = np.linspace(1.0, 0.0, _WINDING_SAMPLES)
-    grid = k_end - T * v**2  # dense near k_end
+    grid = k_end - T * _WINDING_V2
     vals, d = unwound_steps(gamma.eval, grid)
     # arg(vals[0]) is small by the tail check above.
     return grid, np.cumsum(np.concatenate([[np.angle(vals[0])], d]))

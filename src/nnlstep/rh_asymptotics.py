@@ -16,8 +16,11 @@ transition constant d(A), and finally the leading-order profiles:
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import functools
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import Callable
@@ -30,6 +33,7 @@ from .errors import (
     RegionMismatch,
     SingularStation,
     SolitonPole,
+    ToleranceNotMet,
     WindingOutOfRange,
 )
 from .phase import Direction, RegionTag, classify, critical_points
@@ -45,8 +49,14 @@ from .quadrature import (
 from .spectral import SpectralData, endpoint_zero, ray_decay
 
 _STATION_GUARD = 1e-8
-# Ray integrals meet DEFAULT_TOL; each summed piece of Re F_inf a tenth of it.
+# Ray integrals meet DEFAULT_TOL; Re F_inf's tail and central piece a tenth of it.
 _PIECE_TOL = DEFAULT_TOL / 10.0
+# Re F_inf's panels take a _GL_N-point Gauss-Legendre rule.  A new panel
+# is bisected until the rule over it and over its halves agree to
+# _PANEL_TOL, at most _PANEL_DEPTH times.
+_GL_N = 12
+_PANEL_TOL = 1e-13
+_PANEL_DEPTH = 50
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +189,12 @@ def delta_data(sd: SpectralData, k1: float) -> DeltaData:
 class _RayTable:
     """What the rays of one spectral data set share.
 
-    Holds F_inf and Im F_inf by k1, d(A), and the one tail
-    T = int_{-inf}^{-2A} ln|1+r1r2(s)| / sqrt(s^2-A^2) ds, walked once.
+    Holds F_inf and Im F_inf by k1, d(A), the one tail
+    T = int_{-inf}^{-2A} ln|1+r1r2(s)| / sqrt(s^2-A^2) ds, walked once,
+    and the panels of that integrand in t = s + A from t = -A outward:
+    toward t = 0 (side +1) and toward -inf (side -1).  ``edges[side]``
+    are the outer edges of the side's panels, in order away from -A, and
+    ``sums[side]`` the integrals between -A and each edge.
     It holds numbers only: no reference to the data, so the weak-keyed
     _TABLES drops it together with the data, and no samples or closures.
     """
@@ -190,6 +204,8 @@ class _RayTable:
         self.im_F_inf: dict[float, float] = {}
         self.dA: complex | None = None
         self.tail: float | None = None
+        self.edges: dict[int, list[float]] = {1: [], -1: []}
+        self.sums: dict[int, list[float]] = {1: [], -1: []}
 
 
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -214,6 +230,91 @@ def _winding_over_root(grid: np.ndarray, cum: np.ndarray, k1: float, A: float) -
     return float(np.sum(cells)) + float(cum[-1]) * last
 
 
+@functools.cache
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _GL_N-point Gauss-Legendre rule on [-1, 1],
+    built on first use: they take a LAPACK eigensolve, kept out of import."""
+    return np.polynomial.legendre.leggauss(_GL_N)
+
+
+def _gauss_legendre(fn, spans) -> list[float]:
+    """The Gauss-Legendre rule over each span (lo, hi), from one call of fn."""
+    x, w = _gl_rule()
+    lo, hi = np.array(spans, dtype=float).T
+    half = 0.5 * (hi - lo)
+    nodes = (lo + half)[:, None] + half[:, None] * x
+    vals = fn(nodes.ravel()).reshape(nodes.shape)
+    return (half * (vals * w).sum(axis=1)).tolist()
+
+
+def _halves(spans):
+    return [h for lo, hi in spans for h in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+
+
+def _bisected(fn, spans):
+    """Leaves (lo, hi, integral) of the panels spans, in order of lo.
+
+    A panel is a leaf once the rule over it and the sum of the rule over
+    its halves agree to _PANEL_TOL; its integral is that sum.  Otherwise
+    its halves are tested in turn, one call of fn per level.  A leaf
+    depends on its panel alone, not on the other spans.
+    """
+    n = len(spans)
+    vals = _gauss_legendre(fn, spans + _halves(spans))
+    wholes, parts = vals[:n], vals[n:]
+    leaves = []
+    for depth in range(_PANEL_DEPTH + 1):
+        todo, todo_wholes = [], []
+        for (lo, hi), whole, a, b in zip(spans, wholes, parts[::2], parts[1::2]):
+            miss = abs(a + b - whole)
+            if miss <= _PANEL_TOL:
+                leaves.append((lo, hi, a + b))
+                continue
+            if not math.isfinite(miss) or depth == _PANEL_DEPTH:
+                raise ToleranceNotMet(
+                    f"Re F_inf panel [{lo}, {hi}] misses {miss:.3g} > {_PANEL_TOL}",
+                    best=a + b,
+                    error=miss,
+                )
+            mid = 0.5 * (lo + hi)
+            todo += [(lo, mid), (mid, hi)]
+            todo_wholes += [a, b]
+        if not todo:
+            break
+        spans, wholes = todo, todo_wholes
+        parts = _gauss_legendre(fn, _halves(spans))
+    return sorted(leaves)
+
+
+def _re_piece(table: _RayTable, fn, A: float, t1: float) -> float:
+    """int_{-A}^{t1} fn(t) dt from the table's panels, built out as far as t1.
+
+    New panels continue their side's sequence: edges -A 2^-j toward t = 0
+    and -A 2^j toward -inf (capped at the largest float), so each panel
+    keeps the singularity at t = 0 one width away, and a ray adds
+    O(log(|t1| / A)) panels before bisection.  The ray adds the rule over
+    the part of its leaf between the leaf's inner edge and t1.
+    """
+    side = 1 if t1 > -A else -1
+    edges, sums = table.edges[side], table.sums[side]
+    outer = edges[-1] if edges else -A
+    new = []
+    while side * (t1 - outer) > 0:
+        nxt = 0.5 * outer if side > 0 else max(2.0 * outer, -sys.float_info.max)
+        new.append((min(outer, nxt), max(outer, nxt)))
+        outer = nxt
+    if new:
+        total = sums[-1] if sums else 0.0
+        for lo, hi, val in _bisected(fn, new)[::side]:
+            total += val
+            edges.append(hi if side > 0 else lo)
+            sums.append(total)
+    k = bisect.bisect_left(edges, side * t1, key=lambda e: side * e)
+    inner = edges[k - 1] if k else -A
+    part = _gauss_legendre(fn, [tuple(sorted((inner, t1)))])[0]
+    return side * ((sums[k - 1] if k else 0.0) + part)
+
+
 def F_infinity(sd: SpectralData, k1: float) -> complex:
     """F_inf(k1), the logarithm of the large-k limit of F(k, k1).
 
@@ -228,14 +329,18 @@ def F_infinity(sd: SpectralData, k1: float) -> complex:
 
     The real part is integrated in t = s + A, so that k1 = -A is exactly
     t = 0 and no node next to it is rounded onto it.  It is the one tail
-    T = int_{-inf}^{-2A}, walked once per data set, plus the finite
-    tanh-sinh piece from -2A up to k1, or minus the one from k1 up to -2A
-    when k1 < -2A.  In the imaginary part Delta(s) is the linear
-    interpolant of the running_winding samples to k1 (0 to their left),
-    integrated exactly cell by cell; near a zero of 1 + r1 r2 it misses
-    the refined argument (FOUND line on Im F_inf in CHANGES.md).  The
-    pass is delta_data's when one was made to k1, else its own.
-    Values are memoised per spectral data object for its lifetime.
+    T = int_{-inf}^{-2A}, walked once per data set, plus the integral from
+    t = -A to t1 = k1 + A.  At k1 = -A that is one tanh-sinh piece with
+    its exact endpoint.  For k1 < -A it is the data's table of Gauss-
+    Legendre panels (_re_piece): the sum of the panels between -A and t1's
+    panel, plus or minus the rule over part of that panel.  Once a ray's
+    panels exist, its real part costs one panel of integrand points.  In
+    the imaginary part Delta(s) is the linear interpolant of the
+    running_winding samples to k1 (0 to their left), integrated exactly
+    cell by cell; near a zero of 1 + r1 r2 it misses the refined argument
+    (FOUND line on Im F_inf in CHANGES.md).  The pass is delta_data's when
+    one was made to k1, else its own.  Values are memoised per spectral
+    data object for its lifetime.
     """
     A = sd.A
     k1 = _check_k1(k1, A)
@@ -256,10 +361,10 @@ def F_infinity(sd: SpectralData, k1: float) -> complex:
     if table.tail is None:
         table.tail = semiinfinite_integral(spec, -A, tol=_PIECE_TOL).real
     t1 = k1 + A  # exactly 0 at k1 = -A
-    if t1 >= -A:
-        piece = tanh_sinh(spec.eval, -A, t1, tol=_PIECE_TOL)[0].real
+    if t1 == 0.0:
+        piece = tanh_sinh(spec.eval, -A, 0.0, tol=_PIECE_TOL)[0].real
     else:
-        piece = -tanh_sinh(spec.eval, t1, -A, tol=_PIECE_TOL)[0].real
+        piece = _re_piece(table, spec.eval, A, t1)
     if k1 not in table.im_F_inf:
         _unwound_log(sd, k1)
     F = table.F_inf[k1] = complex((table.tail + piece) / (2 * np.pi), table.im_F_inf[k1])

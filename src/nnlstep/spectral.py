@@ -283,6 +283,13 @@ def _lagrange(t: np.ndarray) -> np.ndarray:
 _MID = _lagrange(np.zeros(1))[:, 0].tolist()  # the cubic's value at the midpoint
 
 
+def _refuse_non_finite(xs, qs) -> None:
+    """ValueError naming the first x whose sample is NaN or infinite, if any."""
+    for x, q in zip(xs, qs):
+        if not cmath.isfinite(q):
+            raise ValueError(f"initial datum is not finite at x={x:.6g}")
+
+
 def _half_cells(data: InitialData):
     """Cells of [0, w] with q(x) and q(-x) at their two Gauss points.
 
@@ -291,7 +298,8 @@ def _half_cells(data: InitialData):
     a chain of ever smaller cells; _coarsen merges the chains back.  Cells
     are tested one by one in floats, depth first, so a level costs only its
     sampler calls.  Returns the widths and the samples (2, 2, n) =
-    (x / -x, Gauss point, cell) of the cells in the order of x.
+    (x / -x, Gauss point, cell) of the cells in the order of x.  A NaN or
+    infinite sample raises ValueError: its misfit would pass any cell.
     """
     w, s = data.decay_width, data.sampler
     m0, m1, m2, m3 = _MID
@@ -306,8 +314,12 @@ def _half_cells(data: InitialData):
         c = a + 0.5 * h
         x1, x2 = c - _GAUSS * h, c + _GAUSS * h
         p1, p2, pc, r1, r2, rc = s(x1), s(x2), s(c), s(-x1), s(-x2), s(-c)
-        misfit = max(abs(pc - (m0 * pa + m1 * p1 + m2 * p2 + m3 * pb)),
-                     abs(rc - (m0 * ra + m1 * r1 + m2 * r2 + m3 * rb)))
+        dp = abs(pc - (m0 * pa + m1 * p1 + m2 * p2 + m3 * pb))
+        dr = abs(rc - (m0 * ra + m1 * r1 + m2 * r2 + m3 * rb))
+        if not dp + dr < math.inf:  # all ten samples enter, and NaN fails <
+            _refuse_non_finite((a, x1, c, x2, b, -a, -x1, -c, -x2, -b),
+                               (pa, p1, pc, p2, pb, ra, r1, rc, r2, rb))
+        misfit = max(dp, dr)
         if h * misfit > _CELL_TOL and h > floor:
             todo += [(c, b, pc, rc, pb, rb), (a, c, pa, ra, pc, rc)]
         else:
@@ -334,7 +346,10 @@ def _coarsen(sampler, lo, hi, qa, qb, qg):
         t = (gx[i:j + 1].ravel() - c) / (0.5 * h)
         fit = np.column_stack([qa[:, i], qn, qb[:, j]]) @ _lagrange(t)
         fine = qg[:, :, i:j + 1].transpose(0, 2, 1).reshape(2, -1)
-        return None if h * np.max(np.abs(fit - fine)) > _CELL_TOL else qn
+        err = h * np.max(np.abs(fit - fine))
+        if not err < math.inf:  # NaN or inf: the fit takes every new sample
+            _refuse_non_finite((x1, x2, -x1, -x2), qn.ravel().tolist())
+        return None if err > _CELL_TOL else qn
 
     hs, qgs = [], []
     i = 0

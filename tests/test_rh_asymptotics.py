@@ -28,6 +28,7 @@ from nnlstep import (
     Source,
     SpectralData,
     StepProfile,
+    ToleranceNotMet,
     WindingOutOfRange,
     central_params,
     check_assumptions,
@@ -526,9 +527,15 @@ class TestRayTable:
     def test_table_does_not_keep_data_alive(self):
         sd = step_spectral(StepProfile(A=1.0, R=0.7))
         modulated_params(sd, 0.9)
+        modulated_params(sd, -3.0)
         transition_params(sd)
-        assert isinstance(rh._TABLES[sd], rh._RayTable)
-        assert rh._TABLES[sd].dA == transition_dA(sd)
+        table = rh._TABLES[sd]
+        assert isinstance(table, rh._RayTable)
+        assert table.dA == transition_dA(sd)
+        # The Re F_inf panels of both sides are plain floats.
+        sides = [*table.edges.values(), *table.sums.values()]
+        assert len(sides) == 4 and all(sides)
+        assert all(type(x) is float for side in sides for x in side)
         ref = weakref.ref(sd)
         del sd
         gc.collect()
@@ -681,6 +688,70 @@ class TestExactEndpoint:
 
         F_infinity(dataclasses.replace(sd, one_plus_r1r2_ray=sampled), -1.0)
         assert sum(points) < 5000
+
+    @pytest.mark.parametrize("R", [-1.0, 0.0, 0.7])
+    def test_modulated_re_F_inf_is_cheap(self, R):
+        # Once the table holds a ray's panels, its real part is the rule
+        # over part of one panel; delta_data's pass gives the Im part.
+        points = []
+        sd = step_spectral(StepProfile(A=1.0, R=R))
+        g = sd.one_plus_r1r2_ray
+
+        def sampled(s, *sp):
+            points.append(np.size(s))
+            return g(s, *sp)
+
+        sd = dataclasses.replace(sd, one_plus_r1r2_ray=sampled)
+        for xi in (0.51, 5.0):
+            F_infinity(sd, _k1(xi, 1.0))
+        for xi in (0.6, 0.9, 2.0, 4.5):
+            k1 = _k1(xi, 1.0)
+            delta_data(sd, k1)
+            points.clear()
+            F_infinity(sd, k1)
+            assert 0 < sum(points) <= 2 * rh._GL_N
+
+    def test_non_finite_panel_raises(self):
+        # A NaN of 1 + r1 r2 on the ray reaches a panel, which refuses it
+        # instead of summing it into every later ray.
+        sd = step_spectral(StepProfile(A=1.0, R=0.7))
+        g = sd.one_plus_r1r2_ray
+
+        def holed(s, sp=None):
+            return np.where(np.abs(s + 1.95) < 0.02, np.nan, g(s, sp))
+
+        sd = dataclasses.replace(sd, one_plus_r1r2_ray=holed)
+        with pytest.raises(ToleranceNotMet, match="Re F_inf panel"):
+            F_infinity(sd, -1.9)
+        assert not rh._TABLES[sd].edges[1]
+
+    @pytest.mark.parametrize("R", [-1.0, 0.0, 0.7])
+    def test_far_rays_add_few_panels(self, R):
+        # Panels toward -inf double in width: once 1 + r1 r2 has settled,
+        # a ray from xi = 1e9 out to 1e16 adds about log2(1e7) of them.
+        # Each piece matches the walker's int_{t1}^{-inf} minus the tail;
+        # at xi = 1e4 it matches the tanh-sinh piece of the old code too.
+        A = 1.0
+        g = step_spectral(StepProfile(A=A, R=R)).one_plus_r1r2_ray
+
+        def re(t):
+            s = t - A
+            return np.log(np.abs(g(s, t))) / (np.sqrt(A - s) * np.sqrt(-t))
+
+        spec = IntegrandSpec(re, ray_decay(A))
+        tail = semiinfinite_integral(spec, -A, tol=1e-11).real
+        table = rh._RayTable()
+        counts = []
+        for xi in (1e4, 1e9, 1e16):
+            t1 = _k1(xi, A) + A
+            piece = rh._re_piece(table, re, A, t1)
+            counts.append(len(table.edges[-1]))
+            walked = semiinfinite_integral(spec, t1, tol=1e-11).real
+            assert abs(piece - (walked - tail)) <= 1e-10
+        old = -tanh_sinh(re, _k1(1e4, A) + A, -A, tol=1e-11)[0].real
+        assert abs(rh._re_piece(table, re, A, _k1(1e4, A) + A) - old) <= 1e-10
+        assert counts[2] - counts[1] <= 30
+        assert counts[2] < 5000
 
     @pytest.mark.parametrize("fn", [F_infinity, delta_data])
     @pytest.mark.parametrize("k1", [float("nan"), -math.inf])

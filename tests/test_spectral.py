@@ -460,6 +460,40 @@ class TestJostRoute:
         with pytest.raises(BranchPointProximity):
             jost_spectral(data, 1.0, k_samples=[1.0])
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf")])
+    @pytest.mark.parametrize("centre", [0.3, -0.3])
+    def test_non_finite_datum_refused(self, bad, centre):
+        # A NaN or infinite patch would otherwise give NaN scattering data.
+        def sampler(x):
+            return bad if abs(x - centre) < 0.01 else complex(math.tanh(2.0 * x))
+
+        with pytest.raises(ValueError, match=rf"not finite at x={centre:.1f}"):
+            jost_spectral(InitialData(sampler, decay_width=3.0), 1.0, [2.0, -2.0])
+
+    def test_non_finite_merge_sample_refused(self, monkeypatch):
+        # A merged cell samples new Gauss points; a NaN there is refused too.
+        import nnlstep.spectral as spectral
+
+        def smooth(x):
+            return complex(math.tanh(2.0 * (x - 0.7)))
+
+        merge_xs = []
+        coarsen = spectral._coarsen
+
+        def recording(sampler, *args):
+            return coarsen(lambda x: merge_xs.append(x) or sampler(x), *args)
+
+        monkeypatch.setattr(spectral, "_coarsen", recording)
+        _half_cells(InitialData(smooth, decay_width=3.0))
+        monkeypatch.setattr(spectral, "_coarsen", coarsen)
+        x0 = merge_xs[0]
+
+        def holed(x):
+            return complex("nan") if x == x0 else smooth(x)
+
+        with pytest.raises(ValueError, match=f"not finite at x={x0:.6g}"):
+            jost_spectral(InitialData(holed, decay_width=3.0), 1.0, [2.0])
+
     def test_samples_and_fit_points_are_two_batches(self, monkeypatch):
         # reflection on a symmetric sample grid reads b(-k) from the
         # samples, so no k costs a transfer product of its own.
