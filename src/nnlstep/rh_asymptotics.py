@@ -221,10 +221,15 @@ def _winding_over_root(grid: np.ndarray, cum: np.ndarray, k1: float, A: float) -
 
     On each cell arg = a + b s, and for s < -A
     int (a + b s) / sqrt(s^2-A^2) ds = -a ln(-s + sqrt(s^2-A^2)) + b sqrt(s^2-A^2).
+    Far out on the ray samples closer than the float spacing near k1 round
+    onto one float; such a cell spans no s, and slope 0 gives its exact
+    contribution 0.
     """
     root = np.sqrt(grid * grid - A * A)
     log_prim = -np.log(root - grid)
-    slope = np.diff(cum) / np.diff(grid)
+    ds = np.diff(grid)
+    ds[ds == 0.0] = math.inf  # slope 0 on a cell of width 0
+    slope = np.diff(cum) / ds
     cells = (cum[:-1] - slope * grid[:-1]) * np.diff(log_prim) + slope * np.diff(root)
     last = -math.log(math.sqrt(k1 * k1 - A * A) - k1) - log_prim[-1]
     return float(np.sum(cells)) + float(cum[-1]) * last

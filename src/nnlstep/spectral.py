@@ -271,13 +271,18 @@ _NODES = np.array([-1.0, -2.0 * _GAUSS, 2.0 * _GAUSS, 1.0])  # edges and Gauss p
 _CHUNK = 1 << 14  # k values times cells per vectorised pass
 
 
+# Row j of the basis is the product over m != j, in increasing m, of
+# (t - _NODES[m]) / (_NODES[j] - _NODES[m]); _OTHER holds those _NODES[m]
+# and _DENOM the differences, each of shape (4, 3, 1).
+_OTHER = np.array([[_NODES[m] for m in range(4) if m != j] for j in range(4)])[:, :, None]
+_DENOM = _NODES[:, None, None] - _OTHER
+
+
 def _lagrange(t: np.ndarray) -> np.ndarray:
     """Cubic Lagrange basis on _NODES at t (in half widths from the midpoint),
-    shape (4, len(t))."""
-    return np.array([
-        np.prod([(t - _NODES[m]) / (_NODES[j] - _NODES[m]) for m in range(4) if m != j], axis=0)
-        for j in range(4)
-    ])
+    shape (4, len(t)); each row's three factors are multiplied left to right."""
+    f = (t - _OTHER) / _DENOM
+    return f[:, 0] * f[:, 1] * f[:, 2]
 
 
 _MID = _lagrange(np.zeros(1))[:, 0].tolist()  # the cubic's value at the midpoint
@@ -334,22 +339,25 @@ def _coarsen(sampler, lo, hi, qa, qb, qg):
     cubic through the run's edge and Gauss samples meets the bisection's
     rule at every Gauss point of the cells it replaces.  A run from cell i
     gallops to i+1, i+2, i+4, ..., then bisects at the first failure."""
-    gx = (0.5 * (lo + hi))[:, None] + np.outer(hi - lo, [-_GAUSS, _GAUSS])
+    # The Gauss points of the cells and their samples (x / -x), both in x order.
+    gx = ((0.5 * (lo + hi))[:, None] + np.outer(hi - lo, [-_GAUSS, _GAUSS])).ravel()
+    fine = qg.transpose(0, 2, 1).reshape(2, -1)
     lo, hi = lo.tolist(), hi.tolist()
+    (pa, ra), (pb, rb) = qa.tolist(), qb.tolist()
 
     def merged(i, j):
         """Gauss samples of the cell merged from cells i..j, or None."""
         h = hi[j] - lo[i]
         c = lo[i] + 0.5 * h
         x1, x2 = c - _GAUSS * h, c + _GAUSS * h
-        qn = np.array([[sampler(x1), sampler(x2)], [sampler(-x1), sampler(-x2)]], dtype=complex)
-        t = (gx[i:j + 1].ravel() - c) / (0.5 * h)
-        fit = np.column_stack([qa[:, i], qn, qb[:, j]]) @ _lagrange(t)
-        fine = qg[:, :, i:j + 1].transpose(0, 2, 1).reshape(2, -1)
-        err = h * np.max(np.abs(fit - fine))
+        # Rows x / -x: the run's edge samples around the merged cell's Gauss samples.
+        q = np.array([[pa[i], sampler(x1), sampler(x2), pb[j]],
+                      [ra[i], sampler(-x1), sampler(-x2), rb[j]]], dtype=complex)
+        fit = q @ _lagrange((gx[2 * i:2 * j + 2] - c) / (0.5 * h))
+        err = h * np.abs(fit - fine[:, 2 * i:2 * j + 2]).max()
         if not err < math.inf:  # NaN or inf: the fit takes every new sample
-            _refuse_non_finite((x1, x2, -x1, -x2), qn.ravel().tolist())
-        return None if err > _CELL_TOL else qn
+            _refuse_non_finite((x1, x2, -x1, -x2), q[:, 1:3].ravel().tolist())
+        return None if err > _CELL_TOL else q[:, 1:3]
 
     hs, qgs = [], []
     i = 0
@@ -576,17 +584,17 @@ def reflection(sd: SpectralData, k: complex, side: CutSide = CutSide.OFF):
     the Schwarz-reflected form conj(b(-conj(k))) is used.
     """
     k = complex(k)
-    a1v = sd.a1(k, side)
+    # One lookup: (a1, a2, b) at k and, off the cut, at the mirror -conj(k).
+    (a1v, a2v, bv), *mirror = sd.at([k, -k.conjugate()] if side is CutSide.OFF else [k], side)
     if abs(a1v) < _ZERO_A_TOL:
         raise DivisionByZeroSpectral(f"a1 vanishes at k={k}")
-    a2v = sd.a2(k, side)
     if abs(a2v) < _ZERO_A_TOL:
         raise DivisionByZeroSpectral(f"a2 vanishes at k={k}")
-    r1 = sd.b(k, side) / a1v
-    if side is CutSide.OFF:
-        r2 = np.conj(sd.b(-np.conj(k), side)) / a2v
+    r1 = bv / a1v
+    if mirror:  # np.conj makes this NumPy's complex division, to the last bit
+        r2 = np.conj(mirror[0][2]) / a2v
     else:
-        r2 = -sd.b(k, side) / a2v
+        r2 = -bv / a2v
     return complex(r1), complex(r2)
 
 

@@ -9,7 +9,21 @@ import numpy as np
 import pytest
 
 import nnlstep.spectral as spectral
-from nnlstep import AssumptionReport, StepProfile, cli, jost_spectral, q_central, step_spectral
+from nnlstep import (
+    AssumptionReport,
+    Grid,
+    SimConfig,
+    StepProfile,
+    cli,
+    compare,
+    evolve,
+    init_field,
+    jost_spectral,
+    q_central,
+    q_transition,
+    step_spectral,
+    transition_params,
+)
 from nnlstep.cli import main
 
 
@@ -607,6 +621,33 @@ class TestSimulateAndCompare:
         assert json.loads(capsys.readouterr().err)["kind"] == "precondition"
         assert built == []
 
+    @pytest.mark.filterwarnings("ignore::nnlstep.GridTooCoarse")
+    def test_compare_transition_predictor(self, tmp_path):
+        # The centred step against its transition profile, in a window away
+        # from x = 0: the table is nnls_sim.compare of the same run.
+        cfg = {
+            "A": 1.0, "L": 10.0, "N": 200, "dt": 0.002, "t_end": 0.1,
+            "record_times": [0.05, 0.1], "initial": {"kind": "step", "R": 0.0},
+        }
+        path = tmp_path / "step.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(path), "--predictor", "transition",
+                     "--window", "0.5:1.5", "--out-dir", str(out)]) == 0
+        header, rows = _read_csv(out / "error_table.csv")
+        step = StepProfile(A=1.0, R=0.0)
+        sd = step_spectral(step)
+        params = transition_params(sd)
+        snapshots = evolve(init_field(step, Grid(L=10.0, N=200)),
+                           SimConfig(dt=0.002, t_end=0.1, record_times=(0.05, 0.1)), 1.0)
+        table = compare(snapshots, lambda x, t: q_transition(sd, x, t, params=params), (0.5, 1.5))
+        assert header == ["t", "sup_err", "l2_err", "fitted_exponent"]
+        assert rows == [
+            [cli._fmt(v) for v in (t, sup, l2, table.fitted_exponent)]
+            for t, sup, l2 in zip(table.times, table.sup_errors, table.l2_errors)
+        ]
+        assert len(rows) == 2
+
     def test_blowup_exit_code(self, tmp_path):
         initial = tmp_path / "huge.csv"
         initial.write_text(
@@ -660,6 +701,54 @@ def test_tol_flag_is_usage_error(tmp_path, command):
                     "--window", "1:2"],
     }[command]
     assert main(args + ["--tol", "1e-8", "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, kind",
+    [
+        (["compare", "--config", "sim.json", "--predictor", "soliton", "--window", "1-2"],
+         "config"),
+        (["simulate", "--config", "wave.json"], "config"),
+        (["spectral", "--input-csv", "short.csv"], "io"),
+        (["spectral", "--input-csv", "one.csv"], "io"),
+        (["asym", "--input-csv", "none.csv", "--xi", "0.75", "--t", "10"], "io"),
+        (["asym", "--xi", "0.75", "--t", "10,late"], "config"),
+    ],
+    ids=["window_without_colon", "unknown_initial_kind", "short_csv_row", "one_sample_csv",
+         "missing_csv", "non_numeric_times"],
+)
+def test_bad_input_exits_2_with_its_kind(
+    tmp_path, monkeypatch, capsys, no_spectral_data, args, kind
+):
+    monkeypatch.chdir(tmp_path)
+    for name, initial in (("sim.json", "soliton"), ("wave.json", "wave")):
+        (tmp_path / name).write_text(json.dumps({
+            "A": 1.0, "L": 5.0, "N": 50, "dt": 0.002, "t_end": 0.01,
+            "initial": {"kind": initial},
+        }))
+    (tmp_path / "short.csv").write_text("x,re_q0,im_q0\n-4,-1,0\n0,0\n4,1,0\n")
+    (tmp_path / "one.csv").write_text("x,re_q0,im_q0\n0,0,0\n")
+    assert main(args + ["--out-dir", "o"]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == kind
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
+def test_csv_without_header_reads_first_row_as_data(tmp_path):
+    # A first row of numbers is a sample, not a header: the datum is the
+    # same as with the header line added above it.
+    rows = "-4,-1,0\n0,0,0\n4,1,0\n"
+    bare, headed = tmp_path / "bare.csv", tmp_path / "headed.csv"
+    bare.write_text(rows)
+    headed.write_text("x,re_q0,im_q0\n" + rows)
+    data = cli._load_initial_csv(str(bare), 1.0)
+    assert data.sampler(-2.0) == -0.5  # between the first two rows
+    assert data.decay_width == 4.0
+    for path in (bare, headed):
+        args = ["spectral", "--input-csv", str(path), "--k-grid", "1.1:4:5"]
+        assert main(args + ["--out-dir", str(tmp_path / path.stem)]) == 0
+    assert (tmp_path / "bare" / "spectral_data.csv").read_bytes() == (
+        tmp_path / "headed" / "spectral_data.csv"
+    ).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import inspect
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -752,6 +753,19 @@ class TestExactEndpoint:
         assert abs(rh._re_piece(table, re, A, _k1(1e4, A) + A) - old) <= 1e-10
         assert counts[2] - counts[1] <= 30
         assert counts[2] < 5000
+
+    @pytest.mark.parametrize("R", [-1.0, 0.0, 0.7])
+    def test_far_ray_im_F_inf_is_finite(self, R):
+        # From xi = 1e12 on, winding samples near k1 round onto one float.
+        # Such a cell spans no s and adds nothing to Im F_inf, which stays
+        # finite and tiny, without a warning.
+        sd = step_spectral(StepProfile(A=1.0, R=R))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xi in (1e12, 1e14, 1e16):
+                F = modulated_params(sd, xi).F_inf
+                assert cmath.isfinite(F)
+                assert abs(F.imag) < 1e-20
 
     @pytest.mark.parametrize("fn", [F_infinity, delta_data])
     @pytest.mark.parametrize("k1", [float("nan"), -math.inf])

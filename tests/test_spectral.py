@@ -594,6 +594,27 @@ class TestCellGrid:
         assert h.tobytes() == ref_h.tobytes()
         assert qg.tobytes() == ref_qg.tobytes()
 
+    def test_lagrange_is_the_product_of_its_factors(self):
+        # Row j is prod_{m != j} (t - x_m) / (x_j - x_m) over increasing m,
+        # bit for bit; the oracle above reads _lagrange, so this pins it.
+        nodes = [-1.0, -2.0 * _GAUSS, 2.0 * _GAUSS, 1.0]
+
+        def products(t):
+            return np.array([
+                np.prod([(t - nodes[m]) / (nodes[j] - nodes[m]) for m in range(4) if m != j],
+                        axis=0)
+                for j in range(4)
+            ])
+
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            t = rng.uniform(-scale, scale, int(rng.integers(1, 1001)))
+            got = _lagrange(t)
+            assert got.shape == (4, t.size)
+            assert got.tobytes() == products(t).tobytes()
+        assert _MID == products(np.zeros(1))[:, 0].tolist()
+
     def test_centred_step_grid_sampler_calls(self):
         # Merges gallop: the 43-cell chain beside the jump at 0 merges in
         # 7 trials, not 42, so the grid takes 582 sampler calls, not 722.
