@@ -143,6 +143,13 @@ def _ray_cells(
     """
     if pole is None:
         point = g.eval
+    elif pole.imag == 0.0:
+        x0 = pole.real
+
+        def point(z):
+            # NumPy's complex / real is exactly the product with 1 / real.
+            return np.asarray(g.eval(z), dtype=complex) * (1.0 / (z - x0))
+
     else:
 
         def point(z):
@@ -244,15 +251,22 @@ def unwound_steps(path, nodes: np.ndarray):
     neighbouring ratios, bisecting steps that turn by pi/2 or more.  A
     non-finite sample, whose NaN would pass that test, raises."""
     vals = np.asarray(path(nodes), dtype=complex)
+    return vals, _steps(path, nodes, vals)
+
+
+def _steps(path, nodes, vals):
+    """The steps of unwound_steps from the samples vals = path(nodes).
+    np.arctan2 of the parts is np.angle without its Python wrapper."""
     if not np.isfinite(vals).all():
         raise InconclusiveWinding(f"non-finite path sample at {nodes[~np.isfinite(vals)][0]}")
-    d = np.angle(vals[1:] / vals[:-1])
-    for i in np.flatnonzero(np.abs(d) >= 0.5 * np.pi):
+    ratio = vals[1:] / vals[:-1]
+    d = np.arctan2(ratio.imag, ratio.real)
+    for i in (np.abs(d) >= 0.5 * np.pi).nonzero()[0]:
         d[i] = _arg_increment(path, nodes[i], nodes[i + 1], vals[i], vals[i + 1])
-    return vals, d
+    return d
 
 
-def running_winding(gamma: IntegrandSpec, k_end: float):
+def running_winding(gamma: IntegrandSpec, k_end: float, extra: np.ndarray | None = None):
     """Cumulative unwound arg of the path gamma over (-inf, k_end].
 
     Returns (grid, cumulative) where cumulative[i] is the total argument
@@ -264,23 +278,35 @@ def running_winding(gamma: IntegrandSpec, k_end: float):
     of rungs (_PROBE_BLOCKS), one call each, and stops at the first block
     holding a quiet pair: no probe point lies beyond 4^8 T.  One
     unwound_steps pass then unwinds the samples; cumsum sums the steps in
-    order.
+    order.  Given extra points, the grid's call of gamma evaluates them
+    too, outside the unwinding, and their values come third in the result.
     """
     T0 = max(10.0 * gamma.decay_estimate, 10.0)
+    bad = None  # the first non-finite probe point
     for lo, hi in _PROBE_BLOCKS:
         rungs = T0 * 4.0 ** np.arange(lo, hi + 1)
-        probe = np.asarray(gamma.eval(k_end - rungs), dtype=complex)
+        s = k_end - rungs
+        probe = np.asarray(gamma.eval(s), dtype=complex)
         # Pair i is (probe[i + 1], probe[i]), far point first.
-        quiet = (np.abs(np.angle(probe[:-1] / probe[1:])) < 1e-9) & (
-            np.abs(np.angle(probe[1:])) < 0.1
+        with np.errstate(all="ignore"):
+            ratio = probe[:-1] / probe[1:]
+        far = probe[1:]
+        quiet = (np.abs(np.arctan2(ratio.imag, ratio.real)) < 1e-9) & (
+            np.abs(np.arctan2(far.imag, far.real)) < 0.1
         )
         if quiet.any():
-            T = float(rungs[np.argmax(quiet)])
+            T = float(rungs[quiet.argmax()])
             break
+        if bad is None and not np.isfinite(probe).all():
+            bad = s[~np.isfinite(probe)][0]
     else:
-        raise InconclusiveWinding("path argument does not settle toward -inf")
+        why = "" if bad is None else f": non-finite path sample at {bad}"
+        raise InconclusiveWinding(f"path argument does not settle toward -inf{why}")
 
     grid = k_end - T * _WINDING_V2
-    vals, d = unwound_steps(gamma.eval, grid)
+    nodes = grid if extra is None else np.concatenate([grid, extra])
+    vals = np.asarray(gamma.eval(nodes), dtype=complex)
+    d = _steps(gamma.eval, grid, vals[:grid.size])
     # arg(vals[0]) is small by the tail check above.
-    return grid, np.cumsum(np.concatenate([[np.angle(vals[0])], d]))
+    cum = np.cumsum(np.concatenate([[np.arctan2(vals[0].imag, vals[0].real)], d]))
+    return (grid, cum) if extra is None else (grid, cum, vals[grid.size:])

@@ -84,23 +84,25 @@ class DeltaData:
     zero_at_minus_A: bool
 
 
-def _unwound_log(sd: SpectralData, k1: float):
+def _unwound_log(sd: SpectralData, k1: float, g_at_k1: bool = False):
     """Continuous branch of ln g, g = sd.one_plus_r1r2_ray, on
     (-inf, k1], unwound from g(-inf) ~ 1: the one reader of the ray's
     running_winding samples (grid, cum).
 
-    Returns (log_fn vectorized, Delta(k1) = cum[-1]) and records
-    Im F_inf(k1) from the same samples in the data's table.  The path
-    stops a hair short of k1, where the value may vanish (endpoint zero);
-    the argument extends by continuity.  log_fn takes the principal log
-    and picks the branch nearest the linear interpolant of (grid, cum), so
-    its imaginary part is the refined argument; the interpolant itself can
-    miss it near a zero of g (see the FOUND line on Im F_inf in CHANGES.md).
+    Returns (log_fn vectorized, Delta(k1) = cum[-1], g(k1)) and records
+    Im F_inf(k1) from the same samples in the data's table.  g(k1) is
+    None unless asked for; then the grid's call of g evaluates it too.
+    The path stops a hair short of k1, where the value may vanish
+    (endpoint zero); the argument extends by continuity.  log_fn takes the
+    principal log and picks the branch nearest the linear interpolant of
+    (grid, cum), so its imaginary part is the refined argument; the
+    interpolant itself can miss it near a zero of g (see the FOUND line on
+    Im F_inf in CHANGES.md).
     """
     A, gvec = sd.A, sd.one_plus_r1r2_ray
     spec = IntegrandSpec(eval=gvec, decay_estimate=ray_decay(A))
     k_end = k1 - 1e-9 * max(1.0, abs(k1))
-    grid, cum = running_winding(spec, k_end)
+    grid, cum, *g_k1 = running_winding(spec, k_end, np.array([k1]) if g_at_k1 else None)
     _table(sd).im_F_inf[k1] = _winding_over_root(grid, cum, k1, A) / (2 * np.pi)
 
     def log_fn(s):
@@ -109,9 +111,12 @@ def _unwound_log(sd: SpectralData, k1: float):
         principal = np.angle(vals)
         target = np.interp(s, grid, cum, left=0.0, right=cum[-1])
         branch = np.round((target - principal) / (2 * np.pi))
-        return np.log(np.abs(vals)) + 1j * (principal + 2 * np.pi * branch)
+        out = np.empty(vals.shape, dtype=complex)
+        np.log(np.abs(vals), out=out.real)
+        np.add(principal, 2 * np.pi * branch, out=out.imag)
+        return out
 
-    return log_fn, float(cum[-1])
+    return log_fn, float(cum[-1]), complex(g_k1[0][0]) if g_k1 else None
 
 
 def _check_k1(k1: float, A: float) -> float:
@@ -133,15 +138,13 @@ def delta_data(sd: SpectralData, k1: float) -> DeltaData:
     """
     A = sd.A
     k1 = _check_k1(k1, A)
-    gvec = sd.one_plus_r1r2_ray
 
     zero_at_minus_A = abs(k1 + A) <= 1e-12 * A and endpoint_zero(sd)[0]
 
-    log_fn, Delta_k1 = _unwound_log(sd, k1)
+    log_fn, Delta_k1, g_k1 = _unwound_log(sd, k1, g_at_k1=not zero_at_minus_A)
     if zero_at_minus_A:
         nu = complex(float("nan"), float("nan"))
     else:
-        g_k1 = complex(gvec(np.array([k1]))[0])
         nu = -math.log(abs(g_k1)) / (2 * np.pi) - 1j * Delta_k1 / (2 * np.pi)
 
     if k1 < -A and abs(Delta_k1) >= np.pi:
@@ -212,7 +215,10 @@ _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _table(sd: SpectralData) -> _RayTable:
-    return _TABLES.setdefault(sd, _RayTable())
+    table = _TABLES.get(sd)
+    if table is None:
+        table = _TABLES[sd] = _RayTable()
+    return table
 
 
 def _winding_over_root(grid: np.ndarray, cum: np.ndarray, k1: float, A: float) -> float:
@@ -227,10 +233,13 @@ def _winding_over_root(grid: np.ndarray, cum: np.ndarray, k1: float, A: float) -
     """
     root = np.sqrt(grid * grid - A * A)
     log_prim = -np.log(root - grid)
-    ds = np.diff(grid)
+    # Slice differences are np.diff without its Python wrapper.
+    ds = grid[1:] - grid[:-1]
     ds[ds == 0.0] = math.inf  # slope 0 on a cell of width 0
-    slope = np.diff(cum) / ds
-    cells = (cum[:-1] - slope * grid[:-1]) * np.diff(log_prim) + slope * np.diff(root)
+    slope = (cum[1:] - cum[:-1]) / ds
+    cells = (cum[:-1] - slope * grid[:-1]) * (log_prim[1:] - log_prim[:-1]) + slope * (
+        root[1:] - root[:-1]
+    )
     last = -math.log(math.sqrt(k1 * k1 - A * A) - k1) - log_prim[-1]
     return float(np.sum(cells)) + float(cum[-1]) * last
 
@@ -437,7 +446,7 @@ def transition_dA(sd: SpectralData) -> complex:
 
         def integrand(s):
             s = np.asarray(s, dtype=float)
-            return fp0 * log_g(s) / np.sqrt(s * s - A * A)
+            return fp0 * log_g(s) * (1.0 / np.sqrt(s * s - A * A))
 
         spec = IntegrandSpec(integrand, ray_decay(A))
         log_ratio = cauchy_semiinfinite(spec, -A, 0.0) / (2j * np.pi)

@@ -83,13 +83,16 @@ class InitialData:
 
 def _tabulate(memo: dict, abc: Callable, ks, side: CutSide) -> list[tuple[complex, ...]]:
     """(a1, a2, b) at each k from memo; the points it lacks are evaluated
-    in one abc call and kept there."""
-    keys = [(complex(k), side) for k in ks]
-    new = list(dict.fromkeys(key for key in keys if key not in memo))
+    in one abc call and kept there.  memo holds one dict of complex k per
+    side.value: a key holding the CutSide would run Enum.__hash__, in
+    Python, once per k."""
+    table = memo.setdefault(side.value, {})
+    keys = [complex(k) for k in ks]
+    new = list(dict.fromkeys(k for k in keys if k not in table))
     if new:
-        vals = abc(np.array([k for k, _ in new]), side)
-        memo.update(zip(new, zip(*(v.tolist() for v in vals))))
-    return [memo[key] for key in keys]
+        vals = abc(np.array(new), side)
+        table.update(zip(new, zip(*(v.tolist() for v in vals))))
+    return [table[k] for k in keys]
 
 
 @dataclass(frozen=True)

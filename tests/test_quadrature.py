@@ -387,6 +387,15 @@ class TestArrayUnwinding:
         with pytest.raises(InconclusiveWinding, match="non-finite"):
             _closed_contour_winding(a1, 1.0)
 
+    def test_non_finite_tail_probe_is_named(self):
+        # From s = -1 - 10 * 4^7 on the path is infinite: inf / inf pairs
+        # are NaN, so no pair is quiet, and the quotients warn nothing.
+        def path(s):
+            return np.where(np.asarray(s) < -1e5, np.inf, -1.0).astype(complex)
+
+        with pytest.raises(InconclusiveWinding, match=r"non-finite path sample at -163841\.0$"):
+            running_winding(IntegrandSpec(path, decay_estimate=1.0), -1.0)
+
     def test_unsettled_path_raises(self):
         spec = IntegrandSpec(lambda s: -np.ones_like(s, dtype=complex))
         with pytest.raises(InconclusiveWinding):
@@ -435,3 +444,14 @@ class TestArrayUnwinding:
         if R == 1.5:
             # Neighbouring samples turn by pi/2 or more: bisection runs.
             assert abs(got - 4 * 2 * np.pi) < 1e-6
+
+
+def test_complex_over_real_is_product_with_reciprocal():
+    # The walker's Cauchy point at a real pole and d(A)'s integrand
+    # multiply by 1/x where the quotient by the real x is meant.  NumPy
+    # divides a complex by a real exactly so, bit for bit.
+    rng = np.random.default_rng(25)
+    n = 200_000
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+    assert np.array_equal((z / x).view(np.int64), (z * (1.0 / x)).view(np.int64))

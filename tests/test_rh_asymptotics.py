@@ -518,6 +518,52 @@ class TestRayTable:
         central_params(sd, -0.2)
         assert winding_ends == [-A - 1e-9 * max(1.0, A)]
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: step_spectral(StepProfile(A=1.0, R=-1.0)),
+            lambda: step_spectral(StepProfile(A=1.0, R=0.0)),
+            lambda: step_spectral(StepProfile(A=1.0, R=0.7)),
+            lambda: soliton_spectral(1.0, 0.8),
+            lambda: jost_spectral(
+                InitialData(StepProfile(A=1.0, R=0.7).sample, decay_width=1.5), 1.0, []
+            ),
+        ],
+        ids=["step-1", "step0", "step0.7", "soliton", "jost"],
+    )
+    def test_warm_ray_makes_three_path_calls(self, make):
+        # Once xi = 2 has built the Re panels that xi = 2.1 needs, a ray
+        # calls 1 + r1 r2 for the tail probe, the winding grid with k1
+        # appended (nu's g(k1)) and its Re panel.
+        sd = make()
+        g, sizes = sd.one_plus_r1r2_ray, []
+
+        def counting(s, *args):
+            sizes.append(np.size(s))
+            return g(s, *args)
+
+        sd = dataclasses.replace(sd, one_plus_r1r2_ray=counting)
+        modulated_params(sd, 2.0)
+        sizes.clear()
+        modulated_params(sd, 2.1)
+        assert sizes == [9, 601, 12]
+
+    def test_one_table_per_data_set(self, monkeypatch):
+        built = []
+
+        class Counting(rh._RayTable):
+            def __init__(self):
+                built.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(rh, "_RayTable", Counting)
+        sd = step_spectral(StepProfile(A=1.0, R=0.7))
+        for xi in (0.9, 1.7, -3.0, 2.0):
+            modulated_params(sd, xi)
+        transition_params(sd)
+        central_params(sd, 0.2)
+        assert len(built) == 1 and rh._TABLES[sd] is built[0]
+
     @pytest.mark.parametrize("R", [-1.0, 0.7])
     def test_F_infinity_first_equals_modulated(self, R):
         # F_infinity's own pass and modulated_params' delta_data pass fill
