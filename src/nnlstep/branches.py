@@ -20,6 +20,7 @@ blow up like (k -+ A)^(-1/4) there and callers must perturb.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -39,8 +40,8 @@ class CutSide(enum.Enum):
 
 def _check_amplitude(A: float) -> float:
     A = float(A)
-    if not A > 0.0:
-        raise ValueError(f"amplitude must be positive, got {A}")
+    if not 0.0 < A < math.inf:
+        raise ValueError(f"amplitude must be positive and finite, got {A}")
     return A
 
 

@@ -208,15 +208,14 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 def cmd_spectral(args) -> int:
     out = _out_dir(args)
     A = args.A
+    q0 = _flag_datum(args)  # refuses a bad A before the default grid is formed from it
     ks = _parse_grid(args.k_grid) if args.k_grid else np.linspace(1.05 * A, 10 * A, 200)
-    sd = _spectral_data(_flag_datum(args), A, ks)
+    sd = _spectral_data(q0, A, ks)
     rows = []
     for k in ks:
         sides = (CutSide.ABOVE, CutSide.BELOW) if -A < k < A else (CutSide.OFF,)
         for side in sides:
-            a1 = sd.a1(complex(k), side)
-            a2 = sd.a2(complex(k), side)
-            b = sd.b(complex(k), side)
+            a1, a2, b = sd.at([complex(k)], side)[0]
             r1, r2 = reflection(sd, complex(k), side)
             rows.append(
                 [

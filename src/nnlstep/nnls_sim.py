@@ -24,11 +24,12 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.blas import zaxpy, zcopy
 
+from .branches import _check_amplitude
 from .errors import BlowupDetected, GridTooCoarse
 from .spectral import InitialData, StepProfile
 
@@ -43,8 +44,7 @@ class SolitonSpec:
     phi0: float = 0.0
 
     def __post_init__(self):
-        if not self.A > 0:
-            raise ValueError(f"amplitude must be positive, got {self.A}")
+        _check_amplitude(self.A)
         if not math.isfinite(self.phi0):
             raise ValueError(f"soliton phase must be finite, got {self.phi0}")
 
@@ -61,8 +61,8 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"half-width must be positive, got {self.L}")
+        if not 0.0 < self.L < math.inf:
+            raise ValueError(f"half-width must be positive and finite, got {self.L}")
         if self.N <= 0 or self.N % 2 != 0:
             raise ValueError(f"N must be a positive even integer, got {self.N}")
 
@@ -282,24 +282,11 @@ def _is_odd(q: np.ndarray) -> bool:
     return bool(q[h] == 0) and np.array_equal(q[:h], -q[:h:-1])
 
 
-def _start(fld: Field, cfg: SimConfig, A: float) -> tuple[_RK4Stepper, np.ndarray]:
-    """The stepper of a field and a private working copy for it to advance:
-    the half-line [0, L] of an exactly odd field, else the whole line."""
-    values = np.asarray(fld.values, dtype=complex)
-    if _is_odd(values):
-        return _RK4Stepper(fld.grid, cfg, A, odd=True), values[fld.grid.N // 2 :].copy()
-    return _RK4Stepper(fld.grid, cfg, A), values.copy()
-
-
 def step(fld: Field, cfg: SimConfig, A: float) -> Field:
     """One classic RK4 step; boundary values are reset to the exact
     Dirichlet orbit afterwards.  Returns a new Field; ``fld`` is unchanged.
-    An exactly odd field is stepped on the half-line, as in ``evolve``."""
-    stepper, q = _start(fld, cfg, A)
-    if cfg.dt == 0.0:
-        return Field(fld.t, np.array(fld.values, dtype=complex), fld.grid)
-    t = stepper.advance(q, fld.t)
-    return Field(t, stepper.full(q), fld.grid)
+    It is the one step of ``evolve`` to t_end = dt (at dt = 0, a copy)."""
+    return evolve(fld, replace(cfg, t_end=cfg.dt, record_times=(cfg.dt,)), A)[0]
 
 
 def evolve(fld: Field, cfg: SimConfig, A: float) -> list[Field]:
@@ -315,7 +302,10 @@ def evolve(fld: Field, cfg: SimConfig, A: float) -> list[Field]:
     This does half the work and agrees with the whole-line step to
     rounding (about 1e-14 relative), not bit for bit.  Every other field,
     however close to odd, takes the whole-line step."""
-    stepper, q = _start(fld, cfg, A)
+    q = np.asarray(fld.values, dtype=complex)
+    odd = _is_odd(q)
+    stepper = _RK4Stepper(fld.grid, cfg, A, odd=odd)
+    q = q[fld.grid.N // 2 :].copy() if odd else q.copy()
     if cfg.dt > 0:
         n_steps = int(round(cfg.t_end / cfg.dt))
         record_steps = sorted({int(round(rt / cfg.dt)) for rt in cfg.record_times})

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import CutSide, f, f_array
+from .branches import CutSide, _check_amplitude, f, f_array
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class Direction:
     A: float
 
     def __post_init__(self):
-        if not self.A > 0:
-            raise ValueError(f"amplitude must be positive, got {self.A}")
+        _check_amplitude(self.A)
         if not math.isfinite(self.xi):
             raise ValueError(f"xi must be finite, got {self.xi}")
 

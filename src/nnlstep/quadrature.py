@@ -143,13 +143,6 @@ def _ray_cells(
     """
     if pole is None:
         point = g.eval
-    elif pole.imag == 0.0:
-        x0 = pole.real
-
-        def point(z):
-            # NumPy's complex / real is exactly the product with 1 / real.
-            return np.asarray(g.eval(z), dtype=complex) * (1.0 / (z - x0))
-
     else:
 
         def point(z):
@@ -246,24 +239,21 @@ def _arg_increment(path, lo, hi, v_lo, v_hi, depth=0, max_depth=40):
     )
 
 
-def unwound_steps(path, nodes: np.ndarray):
-    """(vals, steps): path at the real or complex nodes and the angles of
-    neighbouring ratios, bisecting steps that turn by pi/2 or more.  A
-    non-finite sample, whose NaN would pass that test, raises."""
-    vals = np.asarray(path(nodes), dtype=complex)
-    return vals, _steps(path, nodes, vals)
-
-
-def _steps(path, nodes, vals):
-    """The steps of unwound_steps from the samples vals = path(nodes).
-    np.arctan2 of the parts is np.angle without its Python wrapper."""
+def unwound_steps(path, nodes: np.ndarray, vals: np.ndarray | None = None):
+    """(vals, steps): path at the real or complex nodes, unless its samples
+    vals are given, and the angles of neighbouring ratios, bisecting steps
+    that turn by pi/2 or more.  A non-finite sample, whose NaN would pass
+    that test, raises.  np.arctan2 of the parts is np.angle without its
+    Python wrapper."""
+    if vals is None:
+        vals = np.asarray(path(nodes), dtype=complex)
     if not np.isfinite(vals).all():
         raise InconclusiveWinding(f"non-finite path sample at {nodes[~np.isfinite(vals)][0]}")
     ratio = vals[1:] / vals[:-1]
     d = np.arctan2(ratio.imag, ratio.real)
     for i in (np.abs(d) >= 0.5 * np.pi).nonzero()[0]:
         d[i] = _arg_increment(path, nodes[i], nodes[i + 1], vals[i], vals[i + 1])
-    return d
+    return vals, d
 
 
 def running_winding(gamma: IntegrandSpec, k_end: float, extra: np.ndarray | None = None):
@@ -306,7 +296,7 @@ def running_winding(gamma: IntegrandSpec, k_end: float, extra: np.ndarray | None
     grid = k_end - T * _WINDING_V2
     nodes = grid if extra is None else np.concatenate([grid, extra])
     vals = np.asarray(gamma.eval(nodes), dtype=complex)
-    d = _steps(gamma.eval, grid, vals[:grid.size])
+    _, d = unwound_steps(gamma.eval, grid, vals[:grid.size])
     # arg(vals[0]) is small by the tail check above.
     cum = np.cumsum(np.concatenate([[np.arctan2(vals[0].imag, vals[0].real)], d]))
     return (grid, cum) if extra is None else (grid, cum, vals[grid.size:])

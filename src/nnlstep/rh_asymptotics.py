@@ -21,13 +21,12 @@ import cmath
 import functools
 import math
 import sys
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .branches import CutSide, f
+from .branches import CutSide, _check_amplitude, f
 from .errors import (
     MissingNormingConstant,
     RegionMismatch,
@@ -198,8 +197,8 @@ class _RayTable:
     toward t = 0 (side +1) and toward -inf (side -1).  ``edges[side]``
     are the outer edges of the side's panels, in order away from -A, and
     ``sums[side]`` the integrals between -A and each edge.
-    It holds numbers only: no reference to the data, so the weak-keyed
-    _TABLES drops it together with the data, and no samples or closures.
+    It lives in the data's own memo (_table) and holds numbers only: no
+    reference to the data, and no samples or closures.
     """
 
     def __init__(self):
@@ -211,13 +210,12 @@ class _RayTable:
         self.sums: dict[int, list[float]] = {1: [], -1: []}
 
 
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _table(sd: SpectralData) -> _RayTable:
-    table = _TABLES.get(sd)
+    """The data's _RayTable, kept in its memo under a key that no side.value
+    of _tabulate takes."""
+    table = sd._memo.get("_ray_table")
     if table is None:
-        table = _TABLES[sd] = _RayTable()
+        table = sd._memo["_ray_table"] = _RayTable()
     return table
 
 
@@ -424,14 +422,15 @@ def transition_dA(sd: SpectralData) -> complex:
 
     F's kernel splits as (f(s) - f(k)) / (f(s)(s - k)) =
     1/(s - k) - f(k) / (f(s)(s - k)), and the first part integrates to
-    ln delta.  So the ratio takes one Cauchy walk,
+    ln delta.  So the ratio takes one walk,
 
         ln F_+(0) - ln delta(0) = (1/2 pi i) int_{-inf}^{-A}
                                   f_+(0) ln(1+r1r2)(s) / (sqrt(s^2 - A^2) s) ds,
 
-    and d(A) = (gamma_+ / a10) exp(2 (ln F_+(0) - ln delta(0))).  f_+(0) = iA
-    stays inside the integrand, so the walker's absolute tolerance sees
-    the scale of F_+(0)'s own walk.
+    and d(A) = (gamma_+ / a10) exp(2 (ln F_+(0) - ln delta(0))).  The pole
+    at 0 lies off the ray, so it is a plain walk with 1/s as the last
+    factor.  f_+(0) = iA stays inside the integrand, so the walker's
+    absolute tolerance sees the scale of F_+(0)'s own walk.
     """
     gamma = complex(sd.gamma_plus())
     if cmath.isnan(gamma):
@@ -446,10 +445,10 @@ def transition_dA(sd: SpectralData) -> complex:
 
         def integrand(s):
             s = np.asarray(s, dtype=float)
-            return fp0 * log_g(s) * (1.0 / np.sqrt(s * s - A * A))
+            return fp0 * log_g(s) * (1.0 / np.sqrt(s * s - A * A)) * (1.0 / s)
 
         spec = IntegrandSpec(integrand, ray_decay(A))
-        log_ratio = cauchy_semiinfinite(spec, -A, 0.0) / (2j * np.pi)
+        log_ratio = semiinfinite_integral(spec, -A) / (2j * np.pi)
         table.dA = gamma / complex(sd.a10) * cmath.exp(2.0 * log_ratio)
     return table.dA
 
@@ -566,8 +565,7 @@ def transition_continuous_at_zero(sd: SpectralData) -> bool:
 
 def q_soliton(A: float, phi0: float, x: float, t: float) -> complex:
     """Exact one-soliton profile A e^{-2iA^2 t} tanh(Ax - i phi0/2 - i pi/4)."""
-    if not A > 0:
-        raise ValueError(f"amplitude must be positive, got {A}")
+    _check_amplitude(A)
     z = A * x - 0.5j * phi0 - 0.25j * np.pi
     if abs(z.real) < 30.0 and abs(cmath.cosh(z)) < 1e-12:
         raise SolitonPole(f"soliton pole at x={x}, phi0={phi0}")

@@ -33,7 +33,7 @@ import numpy as np
 # Unused here; kept while the bench tracer wraps nnlstep.spectral.solve_ivp.
 from scipy.integrate import solve_ivp  # noqa: F401
 
-from .branches import CutSide, background_matrix, fw_array, h_array
+from .branches import CutSide, _check_amplitude, background_matrix, fw_array, h_array
 from .errors import DivisionByZeroSpectral
 from .quadrature import IntegrandSpec, running_winding, unwound_steps
 
@@ -52,8 +52,7 @@ class StepProfile:
     R: float
 
     def __post_init__(self):
-        if not self.A > 0:
-            raise ValueError(f"amplitude must be positive, got {self.A}")
+        _check_amplitude(self.A)
         if not math.isfinite(self.R):
             raise ValueError(f"step location must be finite, got {self.R}")
 
@@ -233,8 +232,7 @@ def step_spectral(profile: StepProfile) -> SpectralData:
 
 def soliton_spectral(A: float, phi0: float) -> SpectralData:
     """Reflectionless one-soliton scattering data."""
-    if not A > 0:
-        raise ValueError(f"amplitude must be positive, got {A}")
+    _check_amplitude(A)
     if not math.isfinite(phi0):
         raise ValueError(f"soliton phase must be finite, got {phi0}")
 

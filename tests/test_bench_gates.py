@@ -75,15 +75,18 @@ def test_traced_cli_compare_round(tmp_path):
 
 
 def test_traced_asym_rays_round(tmp_path):
-    # d(A) is the round's only Cauchy walk: one per R, as F_+(0)/delta(0)
-    # is a single integral; the modulated rays and F_inf walk none.
+    # d(A) is one plain walk per R, as F_+(0)/delta(0) is a single integral
+    # whose pole at 0 lies off the ray; the round walks no Cauchy integral.
     wl, rec = _traced_round("asym_rays", tmp_path)
+    names = [span[0] for span in rec.spans if span[4] == 0]
+    assert "quadrature.cauchy_semiinfinite" not in names
     walks = [
         span for span in rec.spans
-        if span[0] == "quadrature.cauchy_semiinfinite" and span[4] == 0
+        if span[0] == "quadrature.semiinfinite_integral" and span[4] == 0
+        and rec.spans[span[3]][0] == "rh_asymptotics.transition_params"
     ]
     assert len(walks) == len(wl.R_SET) == 3
-    assert all(rec.spans[span[3]][0] == "rh_asymptotics.transition_params" for span in walks)
+    assert rec.counts[(0, "quadrature.integrand_points")] == 442_200
 
 
 def test_traced_jost_table_round_solves_no_ode(tmp_path):

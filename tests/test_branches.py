@@ -9,11 +9,36 @@ from nnlstep import (
     BranchDomainError,
     BranchPointError,
     CutSide,
+    Direction,
+    SolitonSpec,
+    StepProfile,
     background_matrix,
     f,
     h,
+    q_soliton,
+    soliton_spectral,
     w,
 )
+from nnlstep.branches import _check_amplitude
+
+
+@pytest.mark.parametrize("A", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        _check_amplitude,
+        lambda A: StepProfile(A, 0.0),
+        lambda A: SolitonSpec(A),
+        lambda A: Direction(0.75, A),
+        lambda A: soliton_spectral(A, 0.0),
+        lambda A: q_soliton(A, 0.0, 0.5, 1.0),
+    ],
+    ids=["check", "StepProfile", "SolitonSpec", "Direction", "soliton_spectral", "q_soliton"],
+)
+def test_every_amplitude_check_refuses(make, A):
+    # One check serves every constructor, and it refuses infinity too.
+    with pytest.raises(ValueError, match="amplitude must be positive and finite"):
+        make(A)
 
 
 class TestF:

@@ -347,6 +347,17 @@ class TestAsymCommand:
         assert json.loads(capsys.readouterr().err)["kind"] == "precondition"
         assert not (out / "asym.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [["asym", "--A", "inf", "--xi", "0.75", "--t", "10"], ["spectral", "--A", "inf"]],
+        ids=["asym", "spectral"],
+    )
+    def test_infinite_amplitude_is_precondition_error(self, tmp_path, args, capsys):
+        assert main(args + ["--out-dir", str(tmp_path / "inf")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "precondition"
+        assert "amplitude must be positive and finite, got inf" in err["message"]
+
     def test_unresolved_norming_constant_is_an_error(self, tmp_path, capsys, ode_solves):
         # tanh 2x + 0.1i sech 3x on [-40, 40]: the k = 0 Jost columns turn
         # parallel across the wide support and their determinant cancels to

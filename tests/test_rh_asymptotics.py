@@ -215,11 +215,11 @@ class TestF:
 
             return counted
 
-        for name in ("cauchy_semiinfinite", "running_winding"):
+        for name in ("semiinfinite_integral", "running_winding"):
             monkeypatch.setattr(rh, name, counting(getattr(rh, name)))
         got = transition_dA(step_spectral(StepProfile(A=A, R=R)))
         assert abs(got - want) <= 1e-9 * abs(want)
-        assert sorted(calls) == ["cauchy_semiinfinite", "running_winding"]
+        assert sorted(calls) == ["running_winding", "semiinfinite_integral"]
 
     @pytest.mark.parametrize("R", [0.0, 0.7])
     def test_sampled_step_reaches_ray_layer(self, R):
@@ -562,7 +562,27 @@ class TestRayTable:
             modulated_params(sd, xi)
         transition_params(sd)
         central_params(sd, 0.2)
-        assert len(built) == 1 and rh._TABLES[sd] is built[0]
+        assert len(built) == 1 and rh._table(sd) is built[0]
+
+    def test_replaced_data_get_a_table_of_their_own(self):
+        # dataclasses.replace builds new data, and with them a memo of their
+        # own: the copy shares no F_inf, Im F_inf or panels with the
+        # original, so a changed 1 + r1 r2 is integrated afresh.
+        sd = step_spectral(StepProfile(A=1.0, R=0.7))
+        k1 = modulated_params(sd, 0.9).k1
+        F = F_infinity(sd, k1)
+        table = rh._table(sd)
+        before = (dict(table.F_inf), dict(table.im_F_inf), table.tail,
+                  {side: list(e) for side, e in table.edges.items()})
+        g = sd.one_plus_r1r2_ray
+        squared = dataclasses.replace(sd, one_plus_r1r2_ray=lambda s, sp=None: g(s, sp) ** 2)
+        fresh = rh._table(squared)
+        assert fresh is not table and rh._table(dataclasses.replace(sd)) is not table
+        assert not fresh.F_inf and not fresh.im_F_inf and fresh.tail is None
+        assert not any(fresh.edges.values()) and not any(fresh.sums.values())
+        # ln of g^2 is twice ln g, so F_inf doubles.
+        assert abs(F_infinity(squared, k1) - 2.0 * F) < 1e-9
+        assert before == (table.F_inf, table.im_F_inf, table.tail, table.edges)
 
     @pytest.mark.parametrize("R", [-1.0, 0.7])
     def test_F_infinity_first_equals_modulated(self, R):
@@ -576,7 +596,7 @@ class TestRayTable:
         modulated_params(sd, 0.9)
         modulated_params(sd, -3.0)
         transition_params(sd)
-        table = rh._TABLES[sd]
+        table = rh._table(sd)
         assert isinstance(table, rh._RayTable)
         assert table.dA == transition_dA(sd)
         # The Re F_inf panels of both sides are plain floats.
@@ -649,7 +669,7 @@ class TestWalkerBlocks:
         dd = delta_data(sd, -1.0)
         values = (
             F_plus_at_zero(sd, dd), dd.delta_at(0.0), F_infinity(sd, -1.0),
-            rh._TABLES[sd].tail, transition_dA(sd),
+            rh._table(sd).tail, transition_dA(sd),
         )
         return [repr(v) for v in values], sum(sizes), max(sizes)
 
@@ -770,7 +790,7 @@ class TestExactEndpoint:
         sd = dataclasses.replace(sd, one_plus_r1r2_ray=holed)
         with pytest.raises(ToleranceNotMet, match="Re F_inf panel"):
             F_infinity(sd, -1.9)
-        assert not rh._TABLES[sd].edges[1]
+        assert not rh._table(sd).edges[1]
 
     @pytest.mark.parametrize("R", [-1.0, 0.0, 0.7])
     def test_far_rays_add_few_panels(self, R):
@@ -818,6 +838,35 @@ class TestExactEndpoint:
     def test_non_finite_k1_refused(self, step_sd, fn, k1):
         with pytest.raises(ValueError, match="finite"):
             fn(step_sd, k1)
+
+
+def _smooth_odd(a, c):
+    """tanh(a x) + i c x e^{-x^2}, an odd datum with background +-1."""
+
+    def q(x):
+        x = np.asarray(x, dtype=float)
+        return np.tanh(a * x) + 1j * c * x * np.exp(-x * x)
+
+    return q
+
+
+class TestOddData:
+    """Odd data, q0(-x) = -q0(x), give Im F_inf = 0 on every ray and a
+    purely imaginary d(A)."""
+
+    @pytest.mark.parametrize("a, c, w", [(3.0, 0.4, 3.0), (2.0, 0.3, 4.0)])
+    def test_im_F_inf_vanishes(self, a, c, w):
+        sd = jost_spectral(InitialData(_smooth_odd(a, c), w), 1.0, [])
+        rays = [modulated_params(sd, xi).F_inf for xi in (0.75, -2.0)]
+        for F in [*rays, central_params(sd, 0.2).F_inf]:
+            assert abs(F.imag) <= 1e-15
+
+    @pytest.mark.parametrize("w", [1.5, 3.0])
+    def test_re_dA_vanishes(self, w):
+        # The sampled centred step; d(A) of the smooth data takes seconds.
+        sd = jost_spectral(InitialData(StepProfile(1.0, 0.0).sample, w), 1.0, [])
+        dA = transition_dA(sd)
+        assert abs(dA.real) <= 1e-13 * abs(dA)
 
 
 def test_accuracy_is_fixed_not_a_parameter():

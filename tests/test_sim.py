@@ -43,6 +43,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(L=0.0, N=10)
 
+    @pytest.mark.parametrize("L", [-1.0, math.nan, math.inf])
+    def test_non_finite_or_negative_half_width_rejected(self, L):
+        with pytest.raises(ValueError, match="half-width"):
+            Grid(L=L, N=10)
+
 
 class TestSimConfig:
     def test_cfl_violation(self):
