@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .branches import BranchDomainError, BranchPointError, CutSide
+from .branches import BranchDomainError, BranchPointError, CutSide, _check_amplitude
 from .errors import (
     BlowupDetected,
     InconclusiveWinding,
@@ -79,9 +79,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(c) if isinstance(c, float) else c for c in row])
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> None:
+def _write_manifest(out_dir: Path, args: argparse.Namespace) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": getattr(args, "config", None),
         "output_directory": str(out_dir),
         "deterministic": True,
@@ -89,15 +89,6 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> No
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError("io", f"cannot create output directory: {exc}")
-    return out
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -122,6 +113,7 @@ def _parse_floats(spec: str) -> list[float]:
 
 
 def _load_initial_csv(path: str, A: float) -> InitialData:
+    _check_amplitude(A)
     p = Path(path)
     if not p.is_file():
         raise CliError("io", f"input CSV not found: {path}")
@@ -170,47 +162,33 @@ def _is_number(s: str) -> bool:
 
 
 def _datum(kind: str, A: float, spec: dict):
-    """The step, soliton or sampled datum of one kind; ``spec`` holds its
-    R, phi0 or CSV path."""
+    """(datum, build) of one kind: the step, soliton or sampled datum, whose
+    ``spec`` holds its R, phi0 or CSV path, and ``build(ks=())``, which
+    makes its scattering data; ``ks`` are the Jost sample points of a
+    sampled datum."""
     if kind == "step":
-        return StepProfile(A=A, R=float(spec.get("R", 0.0)))
+        q0 = StepProfile(A=A, R=float(spec.get("R", 0.0)))
+        return q0, lambda ks=(): step_spectral(q0)
     if kind == "soliton":
-        return SolitonSpec(A=A, phi0=float(spec.get("phi0", 0.0)))
+        q0 = SolitonSpec(A=A, phi0=float(spec.get("phi0", 0.0)))
+        return q0, lambda ks=(): soliton_spectral(A, q0.phi0)
     if kind == "csv":
-        return _load_initial_csv(spec["path"], A)
+        q0 = _load_initial_csv(spec["path"], A)
+        return q0, lambda ks=(): jost_spectral(q0, A, list(ks))
     raise CliError("config", f"unknown initial kind {kind!r}")
 
 
 def _flag_datum(args):
-    """The datum named by the source flags shared by subcommands."""
+    """(datum, build) of the source flags shared by subcommands."""
     kind = "soliton" if args.soliton else "step" if args.input_csv is None else "csv"
     return _datum(kind, args.A, {"R": args.step_R, "phi0": args.phi0, "path": args.input_csv})
 
 
-def _spectral_data(q0, A: float, ks=()):
-    """Scattering data of a pure step, a one-soliton or a sampled datum;
-    ``ks`` are the Jost sample points of a sampled datum."""
-    if isinstance(q0, StepProfile):
-        return step_spectral(q0)
-    if isinstance(q0, SolitonSpec):
-        return soliton_spectral(A, q0.phi0)
-    return jost_spectral(q0, A, list(ks))
-
-
-def _add_source_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--A", type=float, default=1.0, help="background amplitude A > 0")
-    p.add_argument("--step-R", type=float, default=0.0, help="pure-step jump location")
-    p.add_argument("--soliton", action="store_true", help="use reflectionless one-soliton data")
-    p.add_argument("--phi0", type=float, default=0.0, help="soliton phase parameter")
-    p.add_argument("--input-csv", default=None, help="CSV with columns x, re_q0, im_q0")
-
-
-def cmd_spectral(args) -> int:
-    out = _out_dir(args)
+def cmd_spectral(args, out: Path) -> None:
     A = args.A
-    q0 = _flag_datum(args)  # refuses a bad A before the default grid is formed from it
+    _, build = _flag_datum(args)  # refuses a bad A before the default grid is formed from it
     ks = _parse_grid(args.k_grid) if args.k_grid else np.linspace(1.05 * A, 10 * A, 200)
-    sd = _spectral_data(q0, A, ks)
+    sd = build(ks)
     rows = []
     for k in ks:
         sides = (CutSide.ABOVE, CutSide.BELOW) if -A < k < A else (CutSide.OFF,)
@@ -242,8 +220,6 @@ def cmd_spectral(args) -> int:
     }
     payload["passed"] = report.passed
     (out / "assumptions_report.json").write_text(json.dumps(payload, indent=2) + "\n")
-    _write_manifest(out, "spectral", args)
-    return _EXIT_OK
 
 
 def _ray_family(central: bool):
@@ -251,13 +227,13 @@ def _ray_family(central: bool):
     return (central_params, q_central) if central else (modulated_params, q_modulated)
 
 
-def cmd_asym(args) -> int:
-    out = _out_dir(args)
+def cmd_asym(args, out: Path) -> None:
     ts = _parse_floats(args.t)
     if min(ts) <= 0:
         raise CliError("config", f"bad --t {args.t!r}, every time must be > 0")
     points = _parse_floats(args.x if args.x is not None else args.xi)
-    sd = _spectral_data(_flag_datum(args), args.A)
+    _, build = _flag_datum(args)
+    sd = build()
     rows = []
     if args.x is not None:
         params = transition_params(sd)
@@ -287,11 +263,10 @@ def cmd_asym(args) -> int:
             "set key autotitle columnhead\n"
             f"plot '{out / 'asym.csv'}' using 1:5 with lines title '|q|'\n"
         )
-    _write_manifest(out, "asym", args)
-    return _EXIT_OK
 
 
 def _load_sim_config(path: str):
+    """(A, sim, field, kind, datum, build) of a JSON simulation config."""
     p = Path(path)
     if not p.is_file():
         raise CliError("io", f"config not found: {path}")
@@ -309,14 +284,15 @@ def _load_sim_config(path: str):
             t_end=float(cfg["t_end"]),
             record_times=tuple(float(t) for t in cfg.get("record_times", [cfg["t_end"]])),
         )
-        q0 = _datum(cfg["initial"]["kind"], A, cfg["initial"])
+        kind = cfg["initial"]["kind"]
+        q0, build = _datum(kind, A, cfg["initial"])
         field = init_field(q0, grid)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError("config", f"invalid simulation config: {exc}")
     # A dt past the stability bound is a precondition error (exit 3), and
     # it is refused before `compare` builds any scattering data.
     sim.check_cfl(grid)
-    return A, sim, q0, field
+    return A, sim, field, kind, q0, build
 
 
 def _snapshot_rows(snapshots):
@@ -325,20 +301,16 @@ def _snapshot_rows(snapshots):
             yield [fld.t, float(x), q.real, q.imag, abs(q)]
 
 
-def cmd_simulate(args) -> int:
-    out = _out_dir(args)
-    A, sim, q0, field = _load_sim_config(args.config)
+def cmd_simulate(args, out: Path) -> None:
+    A, sim, field, *_ = _load_sim_config(args.config)
     snapshots = evolve(field, sim, A)
     _write_csv(
         out / "snapshots.csv", ["t", "x", "re_q", "im_q", "abs_q"], _snapshot_rows(snapshots)
     )
-    _write_manifest(out, "simulate", args)
-    return _EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    out = _out_dir(args)
-    A, sim, q0, field = _load_sim_config(args.config)
+def cmd_compare(args, out: Path) -> None:
+    A, sim, field, kind, q0, build = _load_sim_config(args.config)
     try:
         lo, hi = (float(s) for s in args.window.split(":"))
     except ValueError:
@@ -347,16 +319,15 @@ def cmd_compare(args) -> int:
         raise CliError("config", f"bad --window {args.window!r}, need finite lo < hi")
 
     if args.predictor == "soliton":
-        if not isinstance(q0, SolitonSpec):
-            kind = "step" if isinstance(q0, StepProfile) else "csv"
+        if kind != "soliton":
             raise CliError("config", f"--predictor soliton needs a soliton datum, not kind {kind!r}")
         predictor = lambda x, t: q_soliton(A, q0.phi0, x, t)
     elif args.predictor == "transition":
-        sd = _spectral_data(q0, A)
+        sd = build()
         params = transition_params(sd)
         predictor = lambda x, t: q_transition(sd, x, t, params=params)
     else:
-        sd = _spectral_data(q0, A)
+        sd = build()
         params_at, profile = _ray_family(args.predictor == "central")
 
         def predictor(x, t):
@@ -370,8 +341,6 @@ def cmd_compare(args) -> int:
         for t, s, l2 in zip(table.times, table.sup_errors, table.l2_errors)
     ]
     _write_csv(out / "error_table.csv", ["t", "sup_err", "l2_err", "fitted_exponent"], rows)
-    _write_manifest(out, "compare", args)
-    return _EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,79 +350,86 @@ def build_parser() -> argparse.ArgumentParser:
         "equation with asymmetric step background",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-dir", required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--A", type=float, default=1.0, help="background amplitude A > 0")
+    one = source.add_mutually_exclusive_group()
+    one.add_argument("--step-R", type=float, default=0.0, help="pure-step jump location")
+    one.add_argument("--soliton", action="store_true", help="use reflectionless one-soliton data")
+    one.add_argument("--input-csv", default=None, help="CSV with columns x, re_q0, im_q0")
+    source.add_argument("--phi0", type=float, default=0.0, help="soliton phase parameter")
 
-    p_spec = sub.add_parser("spectral", help="tabulate scattering data and assumption checks")
-    _add_source_flags(p_spec)
+    p_spec = sub.add_parser("spectral", parents=[source, out],
+                            help="tabulate scattering data and assumption checks")
     p_spec.add_argument("--k-grid", default=None, help="real k grid as lo:hi:n")
-    p_spec.add_argument("--out-dir", required=True)
     p_spec.set_defaults(func=cmd_spectral)
 
-    p_asym = sub.add_parser("asym", help="evaluate long-time asymptotic profiles")
-    _add_source_flags(p_asym)
+    p_asym = sub.add_parser("asym", parents=[source, out],
+                            help="evaluate long-time asymptotic profiles")
     where = p_asym.add_mutually_exclusive_group(required=True)
     where.add_argument("--xi", default=None, help="comma-separated ray directions xi = x/(4t)")
     where.add_argument("--x", default=None, help="comma-separated fixed stations (transition)")
     p_asym.add_argument("--t", required=True, help="comma-separated times")
     p_asym.add_argument("--gnuplot-script", action="store_true")
-    p_asym.add_argument("--out-dir", required=True)
     p_asym.set_defaults(func=cmd_asym)
 
-    p_sim = sub.add_parser("simulate", help="run the direct solver from a JSON config")
+    p_sim = sub.add_parser("simulate", parents=[out],
+                           help="run the direct solver from a JSON config")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--out-dir", required=True)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_cmp = sub.add_parser("compare", help="simulate and compare against an asymptotic predictor")
+    p_cmp = sub.add_parser("compare", parents=[out],
+                           help="simulate and compare against an asymptotic predictor")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--predictor", required=True,
                        choices=["modulated", "central", "transition", "soliton"])
     p_cmp.add_argument("--window", required=True, help="x window as lo:hi")
-    p_cmp.add_argument("--out-dir", required=True)
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser
 
 
+# (types, kind, exit code): the first matching row decides; a CliError keeps its kind.
 _ERROR_MAP = [
+    ((CliError,), None, _EXIT_IO),
+    ((FileNotFoundError, PermissionError, IsADirectoryError), "io", _EXIT_IO),
     ((BlowupDetected,), "blowup", _EXIT_BLOWUP),
     ((RegionMismatch, SingularStation, SolitonPole, WindingOutOfRange,
       BranchPointError, BranchDomainError, PoleOnContour), "region", _EXIT_REGION),
     ((ToleranceNotMet, InconclusiveWinding), "tolerance", _EXIT_TOLERANCE),
     ((NnlstepError,), "error", _EXIT_REGION),
+    ((ValueError,), "precondition", _EXIT_REGION),
 ]
 
 
-def _emit_error(kind: str, message: str, extra: dict | None = None) -> None:
-    payload = {"kind": kind, "message": message}
-    if extra:
-        payload.update(extra)
-    print(json.dumps(payload), file=sys.stderr)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command into its output directory, then write manifest.json.
+    An error of _ERROR_MAP prints the JSON {"kind", "message"} (and "t" for
+    a blow-up) to stderr and returns its exit code, with no manifest."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which matches the io/config code
         return int(exc.code) if exc.code else 0
+    out = Path(args.out_dir)
     try:
-        return args.func(args)
-    except CliError as exc:
-        _emit_error(exc.kind, str(exc))
-        return _EXIT_IO
-    except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
-        _emit_error("io", str(exc))
-        return _EXIT_IO
-    except NnlstepError as exc:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError("io", f"cannot create output directory: {exc}")
+        args.func(args, out)
+        _write_manifest(out, args)
+    except Exception as exc:
         for types, kind, code in _ERROR_MAP:
             if isinstance(exc, types):
-                extra = {"t": exc.t} if isinstance(exc, BlowupDetected) else None
-                _emit_error(kind, str(exc), extra)
+                payload = {"kind": kind or exc.kind, "message": str(exc)}
+                if isinstance(exc, BlowupDetected):
+                    payload["t"] = exc.t
+                print(json.dumps(payload), file=sys.stderr)
                 return code
-    except ValueError as exc:
-        _emit_error("precondition", str(exc))
-        return _EXIT_REGION
+        raise
+    return _EXIT_OK
 
 
 if __name__ == "__main__":

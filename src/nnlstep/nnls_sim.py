@@ -187,6 +187,7 @@ class _RK4Stepper:
     """
 
     def __init__(self, grid: Grid, cfg: SimConfig, A: float, *, odd: bool = False):
+        _check_amplitude(A)
         cfg.check_cfl(grid)
         n = grid.N // 2 + 1 if odd else grid.N + 1
         sigma = -1.0 if odd else 1.0

@@ -536,6 +536,7 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     A build is transfer products only: gamma_plus sweeps the cells at
     k = 0 on its first call (_norming_wronskian).
     """
+    _check_amplitude(A)
     tr = _Transfer(data)
 
     def abc(k, side=CutSide.OFF):

@@ -10,11 +10,18 @@ from nnlstep import (
     BranchPointError,
     CutSide,
     Direction,
+    Grid,
+    InitialData,
+    SimConfig,
     SolitonSpec,
     StepProfile,
     background_matrix,
+    cli,
+    evolve,
     f,
     h,
+    init_field,
+    jost_spectral,
     q_soliton,
     soliton_spectral,
     w,
@@ -32,8 +39,14 @@ from nnlstep.branches import _check_amplitude
         lambda A: Direction(0.75, A),
         lambda A: soliton_spectral(A, 0.0),
         lambda A: q_soliton(A, 0.0, 0.5, 1.0),
+        lambda A: jost_spectral(InitialData(StepProfile(1.0, 0.0).sample, 2.0), A, []),
+        lambda A: evolve(init_field(SolitonSpec(1.0), Grid(5.0, 50)),
+                         SimConfig(dt=0.001, t_end=0.001), A),
+        # The amplitude is checked before the file is looked for.
+        lambda A: cli._load_initial_csv("no-such.csv", A),
     ],
-    ids=["check", "StepProfile", "SolitonSpec", "Direction", "soliton_spectral", "q_soliton"],
+    ids=["check", "StepProfile", "SolitonSpec", "Direction", "soliton_spectral", "q_soliton",
+         "jost_spectral", "evolve", "load_initial_csv"],
 )
 def test_every_amplitude_check_refuses(make, A):
     # One check serves every constructor, and it refuses infinity too.
@@ -136,3 +149,7 @@ class TestLamAndBackground:
         E = background_matrix(j, k, 1.0)
         det = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
         assert det == pytest.approx(1.0 + 0j, abs=1e-12)
+
+    def test_background_matrix_index_rejected(self):
+        with pytest.raises(ValueError, match="j must be 1 or 2"):
+            background_matrix(3, 2.5, 1.0)

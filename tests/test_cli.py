@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +15,20 @@ import pytest
 import nnlstep.spectral as spectral
 from nnlstep import (
     AssumptionReport,
+    BlowupDetected,
+    BranchDomainError,
+    BranchPointError,
     Grid,
+    InconclusiveWinding,
+    MissingNormingConstant,
+    PoleOnContour,
+    RegionMismatch,
     SimConfig,
+    SingularStation,
+    SolitonPole,
     StepProfile,
+    ToleranceNotMet,
+    WindingOutOfRange,
     cli,
     compare,
     evolve,
@@ -785,3 +800,148 @@ def test_negative_list_needs_equals_form(tmp_path, args, capsys):
     assert main(head + [flag, value, "--out-dir", str(tmp_path / "space")]) == 2
     assert "expected one argument" in capsys.readouterr().err
     assert main(head + [f"{flag}={value}", "--out-dir", str(tmp_path / "eq")]) == 0
+
+
+@pytest.mark.parametrize("command", [["spectral"], ["asym", "--xi", "0.75", "--t", "10"]],
+                         ids=["spectral", "asym"])
+@pytest.mark.parametrize(
+    "sources",
+    [["--soliton", "--step-R", "0.7"], ["--step-R", "0.7", "--input-csv", "t.csv"],
+     ["--soliton", "--input-csv", "t.csv"]],
+    ids=["soliton_step", "step_csv", "soliton_csv"],
+)
+def test_contradictory_source_flags_are_usage_error(tmp_path, monkeypatch, capsys,
+                                                    command, sources):
+    # One datum per run: a second source flag would be ignored.
+    monkeypatch.chdir(tmp_path)
+    _write_tanh_csv(tmp_path / "t.csv", 4.0, 33)
+    assert main(command + sources + ["--out-dir", "o"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("A", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("command", [["spectral"], ["asym", "--xi", "0.75", "--t", "10"]],
+                         ids=["spectral", "asym"])
+def test_csv_amplitude_flag_is_precondition_error(tmp_path, capsys, no_spectral_data,
+                                                  command, A):
+    initial = _write_tanh_csv(tmp_path / "t.csv", 4.0, 33)
+    out = tmp_path / "o"
+    assert main(command + ["--input-csv", str(initial), f"--A={A}", "--out-dir", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "precondition"
+    assert "amplitude must be positive and finite" in err["message"]
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("A", [0.0, -1.0, math.inf, math.nan])
+def test_csv_config_amplitude_is_config_error(tmp_path, capsys, A):
+    # It used to run, and a bad A showed as a blow-up at the first step.
+    initial = _write_tanh_csv(tmp_path / "t.csv", 4.0, 33)
+    config = tmp_path / "csv.json"
+    config.write_text(json.dumps({
+        "A": A, "L": 5.0, "N": 50, "dt": 0.002, "t_end": 0.01,
+        "initial": {"kind": "csv", "path": str(initial)},
+    }))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config"
+    assert "amplitude must be positive and finite" in err["message"]
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "exc, kind, code",
+    [
+        (cli.CliError("config", "bad"), "config", 2),
+        (FileNotFoundError("gone"), "io", 2),
+        (PermissionError("denied"), "io", 2),
+        (IsADirectoryError("a directory"), "io", 2),
+        (BlowupDetected("field reached 60", t=0.25), "blowup", 4),
+        (RegionMismatch("region"), "region", 3),
+        (SingularStation("station"), "region", 3),
+        (SolitonPole("pole"), "region", 3),
+        (WindingOutOfRange("winding"), "region", 3),
+        (BranchPointError("branch point"), "region", 3),
+        (BranchDomainError("cut"), "region", 3),
+        (PoleOnContour("pole"), "region", 3),
+        (ToleranceNotMet("tol"), "tolerance", 5),
+        (InconclusiveWinding("jump"), "tolerance", 5),
+        (MissingNormingConstant("gamma_+"), "error", 3),
+        (ValueError("bad value"), "precondition", 3),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+)
+def test_every_error_row_has_its_kind_and_exit(tmp_path, monkeypatch, capsys, exc, kind, code):
+    # The first matching row of _ERROR_MAP decides; a blow-up adds its time.
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "modulated_params", raising)
+    out = tmp_path / "o"
+    assert main(["asym", "--xi", "0.75", "--t", "10", "--out-dir", str(out)]) == code
+    want = {"kind": kind, "message": str(exc)}
+    if isinstance(exc, BlowupDetected):
+        want["t"] = 0.25
+    err = capsys.readouterr().err
+    assert err == json.dumps(want) + "\n"
+    assert not list(out.iterdir())
+
+
+def test_out_dir_under_a_file_is_io_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main(["spectral", "--out-dir", str(tmp_path / "file" / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "io" and err["message"].startswith("cannot create output directory")
+
+
+def test_unwritable_artifact_is_io_error(tmp_path, capsys):
+    # asym.csv is a directory, so writing it raises IsADirectoryError.
+    out = tmp_path / "o"
+    (out / "asym.csv").mkdir(parents=True)
+    assert main(["asym", "--xi", "0.75", "--t", "10", "--out-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "io" and "Is a directory" in err["message"]
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::nnlstep.GridTooCoarse")
+@pytest.mark.parametrize(
+    "args, bad, code",
+    [
+        (["spectral", "--k-grid", "2:10:5"], ["spectral", "--k-grid", "2:1:5"], 2),
+        (["asym", "--xi", "0.75", "--t", "10"], ["asym", "--xi", "0.5", "--t", "10"], 3),
+        (["simulate", "--config", "sim.json"], ["simulate", "--config", "cfl.json"], 3),
+        (["compare", "--config", "sim.json", "--predictor", "soliton", "--window", "1:2"],
+         ["compare", "--config", "step.json", "--predictor", "soliton", "--window", "1:2"], 2),
+    ],
+    ids=["spectral", "asym", "simulate", "compare"],
+)
+def test_manifest_is_written_only_after_success(tmp_path, monkeypatch, capsys, args, bad, code):
+    monkeypatch.chdir(tmp_path)
+    base = {"A": 1.0, "L": 5.0, "N": 50, "dt": 0.002, "t_end": 0.01}
+    for name, extra in (("sim.json", {"initial": {"kind": "soliton"}}),
+                        ("cfl.json", {"dt": 0.1, "initial": {"kind": "soliton"}}),
+                        ("step.json", {"initial": {"kind": "step"}})):
+        (tmp_path / name).write_text(json.dumps({**base, **extra}))
+    assert main(args + ["--out-dir", "good"]) == 0
+    manifest = json.loads((tmp_path / "good" / "manifest.json").read_text())
+    assert manifest["command"] == args[0]
+    assert manifest["config"] == (args[2] if "--config" in args else None)
+    assert main(bad + ["--out-dir", "bad"]) == code
+    assert "kind" in json.loads(capsys.readouterr().err)
+    assert (tmp_path / "bad").is_dir()
+    assert not (tmp_path / "bad" / "manifest.json").exists()
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # python -m nnlstep.cli exits with main's code and prints its error.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "nnlstep.cli", "asym", "--xi", "0.5", "--t", "10",
+         "--out-dir", str(tmp_path / "o")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 3
+    assert json.loads(run.stderr)["kind"] == "region"

@@ -29,6 +29,7 @@ from nnlstep.quadrature import (
     running_winding,
     semiinfinite_integral,
     tanh_sinh,
+    unwound_steps,
 )
 from nnlstep.spectral import (
     CutSide,
@@ -367,6 +368,14 @@ class TestArrayUnwinding:
         assert np.array_equal(grid, ref_grid)
         assert np.array_equal(cum, ref_cum)
         assert 10.0 * 4**8 < -1.0 - grid[0] < 10.0 * 4**16
+
+    def test_sign_flip_is_inconclusive_at_max_refinement(self):
+        # A jump by pi never shrinks under bisection.
+        def path(s):
+            return np.where(np.real(s) < 0.3, -1.0, 1.0) + 0j
+
+        with pytest.raises(InconclusiveWinding, match="at max refinement"):
+            unwound_steps(path, np.array([0.0, 1.0]))
 
     def test_non_finite_sample_raises(self):
         # NaN fails the pi/2 test, so a NaN sample would be summed into

@@ -137,6 +137,10 @@ class TestDelta:
         with pytest.raises(ValueError):
             delta_data(step_sd, -0.5)
 
+    def test_boundary_value_needs_a_side(self, step_sd):
+        with pytest.raises(ValueError, match="side ABOVE or BELOW"):
+            delta_data(step_sd, -1.5).delta_boundary(-2.0, CutSide.OFF)
+
     def test_winding_out_of_range(self):
         # Fabricated unimodular data whose argument winds past pi.
         def abc(k, side=CutSide.OFF):
@@ -357,6 +361,16 @@ class TestProfiles:
             modulated_params(step_sd, 0.5)
         with pytest.raises(RegionMismatch):
             q_transition(step_sd, 0.0, 5.0)
+
+    def test_profile_refuses_params_of_the_other_family(self, step_sd):
+        with pytest.raises(RegionMismatch, match="is not modulated"):
+            q_modulated(step_sd, 0.2, 5.0, params=central_params(step_sd, 0.2))
+        with pytest.raises(RegionMismatch, match="is not central"):
+            q_central(step_sd, 0.75, 5.0, params=modulated_params(step_sd, 0.75))
+
+    def test_zero_a10_is_missing_norming_data(self, step_sd):
+        with pytest.raises(MissingNormingConstant, match="a10"):
+            transition_dA(dataclasses.replace(step_sd, a10=0))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

@@ -61,6 +61,10 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=0.001, t_end=t_end)
 
+    def test_negative_dt_rejected(self):
+        with pytest.raises(ValueError, match="dt must be nonnegative"):
+            SimConfig(dt=-1.0, t_end=1.0)
+
     def test_zero_dt_rejected_when_time_passes(self):
         # evolve would return the t = 0 snapshot alone for t_end = 10.
         with pytest.raises(ValueError):

@@ -226,6 +226,14 @@ class TestStepSampler:
         assert type(got) is complex
         assert got == complex(self._where(prof, x))
 
+    def test_non_finite_step_location_rejected(self):
+        with pytest.raises(ValueError, match="step location must be finite"):
+            StepProfile(1.0, math.inf)
+
+    def test_non_positive_decay_width_rejected(self):
+        with pytest.raises(ValueError, match="decay_width must be positive"):
+            InitialData(sampler=StepProfile(1.0, 0.0).sample, decay_width=0.0)
+
     def test_step_point_is_plus_A(self):
         prof = StepProfile(2.0, -0.5)
         assert prof.sample(-0.5) == prof.sample(np.float64(-0.5)) == 2.0
@@ -287,6 +295,11 @@ class TestReflection:
         # a1_+ vanishes at k = 0 for the soliton data.
         with pytest.raises(DivisionByZeroSpectral):
             reflection(soliton_sd, 0.0, CutSide.ABOVE)
+
+    def test_zero_second_denominator(self, soliton_sd):
+        # Below the cut it is a2_- that vanishes at k = 0.
+        with pytest.raises(DivisionByZeroSpectral, match="a2 vanishes"):
+            reflection(soliton_sd, 0.0, CutSide.BELOW)
 
 
 @pytest.fixture(scope="module")
