@@ -67,12 +67,6 @@ def f_array(k, A: float, sp=None):
     return np.sqrt(k - A) * np.sqrt(kp)
 
 
-def h_real(x, A: float):
-    """Unchecked h on the real axis, elementwise: sign(x) sqrt(x^2 + A^2),
-    the values by continuity from h ~ x on each half-line."""
-    return np.sign(x) * np.sqrt(x * x + A * A)
-
-
 def h_array(k, A: float):
     """h elementwise for complex k.  On the cut [-iA, iA] it takes the root
     sqrt(k^2 + A^2), which suits functions that are even in h; only k
@@ -83,10 +77,13 @@ def h_array(k, A: float):
     cut = (k.real == 0.0) & (np.abs(k.imag) < A)
     axis = k.imag == 0.0
     # z sqrt(1 + A^2/z^2): the principal-sqrt cut maps exactly onto
-    # [-iA, iA]; z stands in for k where the other two forms apply.
+    # [-iA, iA]; z stands in for k where the other two forms apply.  On the
+    # real axis h = sign(x) sqrt(x^2 + A^2), by continuity from h ~ x.
     z = np.where(cut | axis, 1.0, k)
     general = z * np.sqrt(1.0 + (A * A) / (z * z))
-    return np.where(cut, np.sqrt(k * k + A * A), np.where(axis, h_real(k.real, A), general))
+    x = k.real
+    real = np.sign(x) * np.sqrt(x * x + A * A)
+    return np.where(cut, np.sqrt(k * k + A * A), np.where(axis, real, general))
 
 
 def fw_array(k, A: float, side: CutSide, sp=None):

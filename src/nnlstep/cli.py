@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import contextlib
 import csv
 import dataclasses
 import json
@@ -180,8 +181,11 @@ def _datum(kind: str, A: float, spec: dict):
 
 def _flag_datum(args):
     """(datum, build) of the source flags shared by subcommands."""
+    if args.phi0 is not None and not args.soliton:
+        raise CliError("config", "--phi0 is the soliton's phase; it needs --soliton")
     kind = "soliton" if args.soliton else "step" if args.input_csv is None else "csv"
-    return _datum(kind, args.A, {"R": args.step_R, "phi0": args.phi0, "path": args.input_csv})
+    spec = {"R": args.step_R, "phi0": args.phi0, "path": args.input_csv}
+    return _datum(kind, args.A, {k: v for k, v in spec.items() if v is not None})
 
 
 def cmd_spectral(args, out: Path) -> None:
@@ -358,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     one.add_argument("--step-R", type=float, default=0.0, help="pure-step jump location")
     one.add_argument("--soliton", action="store_true", help="use reflectionless one-soliton data")
     one.add_argument("--input-csv", default=None, help="CSV with columns x, re_q0, im_q0")
-    source.add_argument("--phi0", type=float, default=0.0, help="soliton phase parameter")
+    source.add_argument("--phi0", type=float, help="soliton phase parameter (default 0)")
 
     p_spec = sub.add_parser("spectral", parents=[source, out],
                             help="tabulate scattering data and assumption checks")
@@ -413,6 +417,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, which matches the io/config code
         return int(exc.code) if exc.code else 0
     out = Path(args.out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -421,6 +426,9 @@ def main(argv=None) -> int:
         args.func(args, out)
         _write_manifest(out, args)
     except Exception as exc:
+        for d in made:  # a failed run removes the levels it made that are still empty
+            with contextlib.suppress(OSError):
+                d.rmdir()
         for types, kind, code in _ERROR_MAP:
             if isinstance(exc, types):
                 payload = {"kind": kind or exc.kind, "message": str(exc)}

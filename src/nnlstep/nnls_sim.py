@@ -113,21 +113,16 @@ class SimConfig:
             )
 
 
-def init_field(q0, grid: Grid, mollify_width: float = 0.0) -> Field:
+def init_field(q0, grid: Grid) -> Field:
     """Sample an initial datum onto the grid at t = 0.
 
-    Pure steps use the midpoint convention (value 0 at the jump); an
-    optional tanh mollifier of the given width replaces the jump for
-    convergence studies.  A NaN or infinite sample raises ValueError.
+    Pure steps use the midpoint convention (value 0 at the jump); a
+    mollified step, A tanh((x - R) / w) say, is an InitialData sampler.
+    A NaN or infinite sample raises ValueError.
     """
     x = grid.x
     if isinstance(q0, StepProfile):
-        if mollify_width > 0.0:
-            vals = q0.A * np.tanh((x - q0.R) / mollify_width).astype(complex)
-        else:
-            vals = np.where(x > q0.R, q0.A, np.where(x < q0.R, -q0.A, 0.0)).astype(
-                complex
-            )
+        vals = np.where(x > q0.R, q0.A, np.where(x < q0.R, -q0.A, 0.0)).astype(complex)
         amp = q0.A
     elif isinstance(q0, SolitonSpec):
         z = q0.A * x - 0.5j * q0.phi0 - 0.25j * np.pi

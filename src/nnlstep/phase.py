@@ -71,22 +71,18 @@ def classify(d: Direction) -> RegionTag:
 
 
 def signature_table(
-    d: Direction,
-    n_re: int = 401,
-    n_im: int = 401,
-    box: tuple[float, float, float, float] | None = None,
+    d: Direction, n_re: int = 401, n_im: int = 401
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sampled sign of Im theta over a grid, for plotting.
+    """Sampled sign of Im theta over the box |Re k| <= 2A + 2|xi|,
+    |Im k| <= 2A, for plotting.
 
     Returns (k_re, k_im, sign) with sign in {-1, 0, 1}. The grid is offset
     by half a pixel vertically so no sample lands on the cut.
     """
     A, xi = d.A, d.xi
-    if box is None:
-        w = 2.0 * A + 2.0 * abs(xi)
-        box = (-w, w, -2.0 * A, 2.0 * A)
-    re = np.linspace(box[0], box[1], n_re)
-    im = np.linspace(box[2], box[3], n_im)
+    w = 2.0 * A + 2.0 * abs(xi)
+    re = np.linspace(-w, w, n_re)
+    im = np.linspace(-2.0 * A, 2.0 * A, n_im)
     if np.any(im == 0.0):
         im = im + 0.5 * (im[1] - im[0])
     K = re[None, :] + 1j * im[:, None]

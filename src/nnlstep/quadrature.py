@@ -34,6 +34,7 @@ _WINDING_SAMPLES = 600  # points of every running_winding grid
 # v^2 for v from 1 to 0: a grid k_end - T v^2 is dense near k_end.
 _WINDING_V2 = np.linspace(1.0, 0.0, _WINDING_SAMPLES) ** 2
 _WINDING_V2.flags.writeable = False
+_ARG_DEPTH = 40  # bisections of one unwound step before InconclusiveWinding
 # The ray walker hands a tanh-sinh level longer than this to its integrand
 # in consecutive blocks, whose temporaries stay in cache.
 _WALK_BLOCK = 4096
@@ -220,13 +221,13 @@ def cauchy_semiinfinite_pv(
     return _ray_cells(IntegrandSpec(remainder, g.decay_estimate), upper, tol, x0) + g0 * pv
 
 
-def _arg_increment(path, lo, hi, v_lo, v_hi, depth=0, max_depth=40):
+def _arg_increment(path, lo, hi, v_lo, v_hi, depth=0):
     """Unwound argument increment of path() from lo to hi, real or complex,
     refining where adjacent samples jump by pi/2 or more."""
     d = np.angle(v_hi / v_lo)
     if abs(d) < 0.5 * np.pi:
         return d
-    if depth >= max_depth or abs(hi - lo) < 1e-13 * max(1.0, abs(hi), abs(lo)):
+    if depth >= _ARG_DEPTH or abs(hi - lo) < 1e-13 * max(1.0, abs(hi), abs(lo)):
         raise InconclusiveWinding(
             f"argument jump {d:.3f} >= pi/2 between {lo} and {hi} at max refinement"
         )
@@ -234,8 +235,8 @@ def _arg_increment(path, lo, hi, v_lo, v_hi, depth=0, max_depth=40):
     v_mid = complex(np.asarray(path(np.array([mid])), dtype=complex)[0])
     if not np.isfinite(v_mid):
         raise InconclusiveWinding(f"non-finite path sample at {mid}")
-    return _arg_increment(path, lo, mid, v_lo, v_mid, depth + 1, max_depth) + _arg_increment(
-        path, mid, hi, v_mid, v_hi, depth + 1, max_depth
+    return _arg_increment(path, lo, mid, v_lo, v_mid, depth + 1) + _arg_increment(
+        path, mid, hi, v_mid, v_hi, depth + 1
     )
 
 

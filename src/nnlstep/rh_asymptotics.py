@@ -440,7 +440,7 @@ def transition_dA(sd: SpectralData) -> complex:
     table = _table(sd)
     if table.dA is None:
         A = sd.A
-        log_g = delta_data(sd, -A).log_g_at
+        log_g, *_ = _unwound_log(sd, -A)
         fp0 = f(0.0, A, CutSide.ABOVE)
 
         def integrand(s):
@@ -506,24 +506,28 @@ def _plane_wave(A: float, F_inf: complex, t: float, positive_side: bool) -> comp
     return -A * math.exp(2.0 * F_inf.imag) * phase
 
 
+def _ray_wave(sd: SpectralData, xi: float, t: float, p: AsymptoticParams, family: str):
+    """The plane wave of the ray xi from params p of the ray's own region,
+    a sector of the family; the ray's side gives the amplitude's sign."""
+    region = classify(Direction(xi, sd.A))
+    if region is not p.region or not region.name.startswith(family.upper()):
+        raise RegionMismatch(f"xi={xi} lies in {region.value}, the params in "
+                             f"{p.region.value}: the ray is not {family} on their side")
+    return _plane_wave(p.A, p.F_inf, t, xi > 0)
+
+
 def q_modulated(
     sd: SpectralData, xi: float, t: float, params: AsymptoticParams | None = None
 ) -> complex:
     """Leading term along the ray x = 4 xi t in a modulated sector."""
-    p = params if params is not None else modulated_params(sd, xi)
-    if p.region not in (RegionTag.MODULATED_PLUS, RegionTag.MODULATED_MINUS):
-        raise RegionMismatch(f"params region {p.region} is not modulated")
-    return _plane_wave(p.A, p.F_inf, t, p.region is RegionTag.MODULATED_PLUS)
+    return _ray_wave(sd, xi, t, params or modulated_params(sd, xi), "modulated")
 
 
 def q_central(
     sd: SpectralData, xi: float, t: float, params: AsymptoticParams | None = None
 ) -> complex:
     """Leading term in a central sector; xi-independent within each side."""
-    p = params if params is not None else central_params(sd, xi)
-    if p.region not in (RegionTag.CENTRAL_PLUS, RegionTag.CENTRAL_MINUS):
-        raise RegionMismatch(f"params region {p.region} is not central")
-    return _plane_wave(p.A, p.F_inf, t, p.region is RegionTag.CENTRAL_PLUS)
+    return _ray_wave(sd, xi, t, params or central_params(sd, xi), "central")
 
 
 def q_transition(

@@ -56,12 +56,9 @@ class StepProfile:
         if not math.isfinite(self.R):
             raise ValueError(f"step location must be finite, got {self.R}")
 
-    def sample(self, x):
+    def sample(self, x: float) -> complex:
         # A Jost cell grid samples one float at a time (np.float64 is one).
-        if isinstance(x, float):
-            return complex(self.A if x >= self.R else -self.A)
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= self.R, self.A, -self.A).astype(complex)
+        return complex(self.A if x >= self.R else -self.A)
 
 
 @dataclass(frozen=True)
@@ -139,16 +136,6 @@ class SpectralData:
 # ---------------------------------------------------------------------------
 
 
-def _step_pm(k, fk, hk, A: float, R: float):
-    """Pure-step numerators (p, m) over 2 f h: (a1, a2) for R > 0, (a2, a1)
-    for R < 0."""
-    l1 = 1j * (fk + hk)
-    l2 = 1j * (fk - hk)
-    p = np.exp(2 * l1 * R) * (A * A + 1j * k * l2) - np.exp(2 * l2 * R) * (A * A + 1j * k * l1)
-    m = np.exp(-2 * l2 * R) * (A * A - 1j * k * l1) - np.exp(-2 * l1 * R) * (A * A - 1j * k * l2)
-    return p, m
-
-
 def _step_a1a2_vec(s: np.ndarray, A: float, R: float, sp=None) -> np.ndarray:
     """Vectorized a1(s) a2(s) of the pure step on the ray s < -A, with
     f formed from sp = s + A when given.
@@ -156,7 +143,7 @@ def _step_a1a2_vec(s: np.ndarray, A: float, R: float, sp=None) -> np.ndarray:
     Used by the singular quadratures, where the determinant relation gives
     1 + r1 r2 = 1 / (a1 a2) and millions of evaluations occur.  On the ray
     f^2 = (A - s)(-sp) and h = -sqrt(s^2 + A^2) are real, and the product
-    of _step_pm's p and m is P1 M1 e^{4ihR} + P2 M2 e^{-4ihR} - (P1 M2 + P2 M1).
+    of abc's p and m is P1 M1 e^{4ihR} + P2 M2 e^{-4ihR} - (P1 M2 + P2 M1).
     As f^2 - h^2 = -2A^2 and f^2 + h^2 = 2s^2, its coefficients are
     P1 M1 + P2 M2 = 2A^2(A^2 + 2s^2), P1 M1 - P2 M2 = 4A^2 s h and
     P1 M2 + P2 M1 = 2A^4 - 4s^4, so f itself is never formed:
@@ -205,7 +192,10 @@ def step_spectral(profile: StepProfile) -> SpectralData:
         # a1, a2, b are even functions of h, hence analytic across the
         # vertical cut of h, where h_array picks one square root.
         hk = h_array(k, A)
-        p, m = _step_pm(k, fk, hk, A, R)
+        # Numerators (p, m) over 2 f h: (a1, a2) for R > 0, (a2, a1) for R < 0.
+        l1, l2, AA = 1j * (fk + hk), 1j * (fk - hk), A * A
+        p = np.exp(2 * l1 * R) * (AA + 1j * k * l2) - np.exp(2 * l2 * R) * (AA + 1j * k * l1)
+        m = np.exp(-2 * l2 * R) * (AA - 1j * k * l1) - np.exp(-2 * l1 * R) * (AA - 1j * k * l2)
         b = -1j * A * (np.exp(2j * hk * R) * (hk + k) + np.exp(-2j * hk * R) * (hk - k))
         den = 2.0 * fk * hk
         if R > 0:

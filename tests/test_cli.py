@@ -19,6 +19,7 @@ from nnlstep import (
     BranchDomainError,
     BranchPointError,
     Grid,
+    GridTooCoarse,
     InconclusiveWinding,
     MissingNormingConstant,
     PoleOnContour,
@@ -685,7 +686,8 @@ class TestSimulateAndCompare:
         }
         path = tmp_path / "blow.json"
         path.write_text(json.dumps(cfg))
-        rc = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        with pytest.warns(GridTooCoarse):
+            rc = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
         assert rc == 4
 
 
@@ -831,7 +833,7 @@ def test_csv_amplitude_flag_is_precondition_error(tmp_path, capsys, no_spectral_
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "precondition"
     assert "amplitude must be positive and finite" in err["message"]
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("A", [0.0, -1.0, math.inf, math.nan])
@@ -848,7 +850,7 @@ def test_csv_config_amplitude_is_config_error(tmp_path, capsys, A):
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "config"
     assert "amplitude must be positive and finite" in err["message"]
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -886,7 +888,7 @@ def test_every_error_row_has_its_kind_and_exit(tmp_path, monkeypatch, capsys, ex
         want["t"] = 0.25
     err = capsys.readouterr().err
     assert err == json.dumps(want) + "\n"
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_out_dir_under_a_file_is_io_error(tmp_path, capsys):
@@ -904,6 +906,49 @@ def test_unwritable_artifact_is_io_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "io" and "Is a directory" in err["message"]
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["asym", "--xi", "0.75", "--t", "-1"], 2), (["asym", "--xi", "0.75,0.5", "--t", "10"], 3)],
+    ids=["config", "region"],
+)
+def test_refused_run_leaves_no_directory_it_made(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out-dir", "o/deep"]) == code
+    assert not (tmp_path / "o").exists()
+    (tmp_path / "kept").mkdir()
+    assert main(argv + ["--out-dir", "kept/new/deeper"]) == code
+    assert (tmp_path / "kept").is_dir() and not (tmp_path / "kept" / "new").exists()
+
+
+def test_existing_empty_out_dir_survives_a_refusal(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["asym", "--xi", "0.75", "--t", "-1", "--out-dir", str(out)]) == 2
+    assert out.is_dir() and not list(out.iterdir())
+
+
+@pytest.mark.parametrize("source", [["--step-R", "0.7"], ["--input-csv", "t.csv"]],
+                         ids=["step", "csv"])
+def test_phi0_without_soliton_is_config_error(tmp_path, monkeypatch, capsys, no_spectral_data,
+                                              source):
+    # --phi0 is the soliton's phase; a step or CSV datum would ignore it.
+    monkeypatch.chdir(tmp_path)
+    _write_tanh_csv(tmp_path / "t.csv", 4.0, 33)
+    argv = ["asym", *source, "--phi0", "0.3", "--xi", "0.75", "--t", "10", "--out-dir", "o"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config" and "--phi0" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_soliton_phase_defaults_to_zero(tmp_path):
+    argv = ["asym", "--soliton", "--xi=-0.75,0.2", "--t", "10"]
+    assert main(argv + ["--out-dir", str(tmp_path / "default")]) == 0
+    assert main(argv + ["--phi0", "0", "--out-dir", str(tmp_path / "zero")]) == 0
+    assert (tmp_path / "default" / "asym.csv").read_bytes() == (
+        tmp_path / "zero" / "asym.csv").read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore::nnlstep.GridTooCoarse")
@@ -931,8 +976,7 @@ def test_manifest_is_written_only_after_success(tmp_path, monkeypatch, capsys, a
     assert manifest["config"] == (args[2] if "--config" in args else None)
     assert main(bad + ["--out-dir", "bad"]) == code
     assert "kind" in json.loads(capsys.readouterr().err)
-    assert (tmp_path / "bad").is_dir()
-    assert not (tmp_path / "bad" / "manifest.json").exists()
+    assert not (tmp_path / "bad").exists()
 
 
 def test_module_runs_as_a_script(tmp_path):

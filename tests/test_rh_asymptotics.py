@@ -47,6 +47,7 @@ from nnlstep import (
     transition_params,
 )
 import nnlstep.rh_asymptotics as rh
+import nnlstep.spectral as spectral
 from nnlstep.quadrature import (
     IntegrandSpec,
     cauchy_semiinfinite,
@@ -367,6 +368,18 @@ class TestProfiles:
             q_modulated(step_sd, 0.2, 5.0, params=central_params(step_sd, 0.2))
         with pytest.raises(RegionMismatch, match="is not central"):
             q_central(step_sd, 0.75, 5.0, params=modulated_params(step_sd, 0.75))
+
+    def test_modulated_profile_refuses_params_of_the_other_side(self, step_sd):
+        # The side comes from the ray: the params of xi = 0.75 would give
+        # the plus-side wave on the ray -0.75.
+        with pytest.raises(RegionMismatch, match="ModulatedMinus.*is not modulated"):
+            q_modulated(step_sd, -0.75, 10.0, params=modulated_params(step_sd, 0.75))
+        own = modulated_params(step_sd, -0.75)
+        assert q_modulated(step_sd, -0.75, 10.0, params=own) == q_modulated(step_sd, -0.75, 10.0)
+
+    def test_central_profile_refuses_a_modulated_ray(self, step_sd):
+        with pytest.raises(RegionMismatch, match="ModulatedPlus.*is not central"):
+            q_central(step_sd, 0.9, 10.0, params=central_params(step_sd, 0.2))
 
     def test_zero_a10_is_missing_norming_data(self, step_sd):
         with pytest.raises(MissingNormingConstant, match="a10"):
@@ -881,6 +894,58 @@ class TestOddData:
         sd = jost_spectral(InitialData(StepProfile(1.0, 0.0).sample, w), 1.0, [])
         dA = transition_dA(sd)
         assert abs(dA.real) <= 1e-13 * abs(dA)
+
+
+def _class_datum(A=1.0, w=8.0):
+    """Scattering data of q0 = tanh 2x + c e^{-(x-1)^2}, a non-odd datum in
+    the checker's class: c solves c0(c) = 0 for the constant c0 of the
+    small-k fit of a1_+, by Newton's method on (Re c, Im c) with a
+    forward-difference Jacobian.  Returns (sd, c, |c0|)."""
+
+    def fit(c):
+        sampler = lambda x: complex(math.tanh(2.0 * x)) + c * math.exp(-((x - 1.0) ** 2))
+        sd = jost_spectral(InitialData(sampler, w), A, [])
+        a1 = [v[0] for v in sd.at(spectral._FIT_KS * A, CutSide.ABOVE)]
+        return spectral._fit_small_k(a1, A)[0], sd
+
+    c, h = complex(-0.07, 0.41), 1e-6
+    for _ in range(5):
+        c0, sd = fit(c)
+        if abs(c0) < 1e-10:
+            break
+        dre, dim = ((fit(c + dc)[0] - c0) / h for dc in (h, 1j * h))
+        jac = np.array([[dre.real, dim.real], [dre.imag, dim.imag]])
+        step = np.linalg.solve(jac, [-c0.real, -c0.imag])
+        c += complex(*step)
+    return sd, c, abs(c0)
+
+
+class TestNonOddClassDatum:
+    """The abstract's claim on a datum that is not odd: the checker passes,
+    and |q| on the modulated rays differs from A by a factor
+    e^{-+2 Im F_inf} of opposite sense on the two sides of x = 0."""
+
+    @pytest.fixture(scope="class")
+    def class_sd(self):
+        sd, c, c0 = _class_datum()
+        assert c0 < 1e-10 and abs(c - complex(-0.070937, 0.410572)) < 1e-5
+        return sd
+
+    def test_checker_passes_with_an_endpoint_zero(self, class_sd):
+        rep = check_assumptions(class_sd)
+        assert rep.passed and rep.endpoint_zero_at_minus_A
+        assert abs(rep.a10 - (-0.7212j)) < 1e-4
+        assert abs(rep.a10.real) <= 1e-12 * abs(rep.a10)
+
+    @pytest.mark.parametrize("xi", [0.55, 0.75, -0.55, -0.75])
+    def test_modulus_departs_from_A_by_side(self, class_sd, xi):
+        # 0.9621 and 0.9783 for xi > 0, 1.0394 and 1.0222 for xi < 0.
+        side = 1.0 if xi > 0 else -1.0
+        assert side * (1.0 - abs(q_modulated(class_sd, xi, 10.0))) > 1e-2
+
+    def test_central_im_F_inf_vanishes(self, class_sd):
+        # It reads -6.8e-6, the error of the winding interpolant (ROADMAP item 13).
+        assert abs(central_params(class_sd, 0.2).F_inf.imag) < 1e-4
 
 
 def test_accuracy_is_fixed_not_a_parameter():

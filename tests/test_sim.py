@@ -92,12 +92,13 @@ class TestInitField:
         assert fld.values[0] == -1.0 and fld.values[-1] == 1.0
 
     def test_mollified_step_no_warning(self):
+        # A mollified step is a sampler: A tanh((x - R) / w) with w = 1.
         g = Grid(L=5.0, N=100)
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fld = init_field(StepProfile(A=1.0, R=0.0), g, mollify_width=1.0)
+            fld = init_field(InitialData(lambda x: complex(math.tanh(x)), 5.0), g)
         assert abs(fld.values[-1] - math.tanh(5.0)) < 1e-12
 
     def test_soliton_matches_exact_profile(self):
@@ -300,7 +301,8 @@ class TestInPlaceStepper:
 
     def test_no_aliasing(self):
         g = Grid(L=10.0, N=100)
-        fld = init_field(SolitonSpec(A=1.0, phi0=0.3), g)
+        with pytest.warns(GridTooCoarse):
+            fld = init_field(SolitonSpec(A=1.0, phi0=0.3), g)
         before = fld.values.copy()
         cfg = SimConfig(dt=0.005, t_end=0.1, record_times=(0.0, 0.05, 0.1))
         snaps = evolve(fld, cfg, 1.0)

@@ -209,8 +209,8 @@ class TestStepFormsAgree:
 
 
 class TestStepSampler:
-    """StepProfile.sample: a float gives a complex, anything else the
-    np.where form; x = R is on the +A side."""
+    """StepProfile.sample: a float gives the complex of the np.where form;
+    x = R is on the +A side."""
 
     @staticmethod
     def _where(prof, x):
@@ -238,20 +238,6 @@ class TestStepSampler:
         prof = StepProfile(2.0, -0.5)
         assert prof.sample(-0.5) == prof.sample(np.float64(-0.5)) == 2.0
         assert prof.sample(np.nextafter(-0.5, -1.0)) == -2.0
-
-    @pytest.mark.parametrize("x", [
-        np.array([-3.0, -0.5, np.nextafter(-0.5, -1.0), 0.0, 7.0]),
-        np.linspace(-2.0, 2.0, 9).reshape(3, 3),
-        np.array(-0.5),
-        [-1.0, 0.0],
-        3,
-    ])
-    def test_arrays_match_where_form(self, x):
-        prof = StepProfile(2.0, -0.5)
-        got = prof.sample(x)
-        want = self._where(prof, x)
-        assert isinstance(got, np.ndarray) and got.dtype == complex
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestSolitonData:
