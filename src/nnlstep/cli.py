@@ -299,18 +299,11 @@ def _load_sim_config(path: str):
     return A, sim, field, kind, q0, build
 
 
-def _snapshot_rows(snapshots):
-    for fld in snapshots:
-        for x, q in zip(fld.grid.x, fld.values):
-            yield [fld.t, float(x), q.real, q.imag, abs(q)]
-
-
 def cmd_simulate(args, out: Path) -> None:
     A, sim, field, *_ = _load_sim_config(args.config)
-    snapshots = evolve(field, sim, A)
-    _write_csv(
-        out / "snapshots.csv", ["t", "x", "re_q", "im_q", "abs_q"], _snapshot_rows(snapshots)
-    )
+    rows = ([fld.t, float(x), q.real, q.imag, abs(q)]
+            for fld in evolve(field, sim, A) for x, q in zip(fld.grid.x, fld.values))
+    _write_csv(out / "snapshots.csv", ["t", "x", "re_q", "im_q", "abs_q"], rows)
 
 
 def cmd_compare(args, out: Path) -> None:

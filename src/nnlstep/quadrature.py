@@ -35,6 +35,7 @@ _WINDING_SAMPLES = 600  # points of every running_winding grid
 _WINDING_V2 = np.linspace(1.0, 0.0, _WINDING_SAMPLES) ** 2
 _WINDING_V2.flags.writeable = False
 _ARG_DEPTH = 40  # bisections of one unwound step before InconclusiveWinding
+_MAX_LEVEL = 14  # the last tanh-sinh level before ToleranceNotMet
 # The ray walker hands a tanh-sinh level longer than this to its integrand
 # in consecutive blocks, whose temporaries stay in cache.
 _WALK_BLOCK = 4096
@@ -76,7 +77,7 @@ def _unit_level(level: int) -> tuple[np.ndarray, ...]:
     return data
 
 
-def tanh_sinh(fn, a: float, b: float, tol: float = DEFAULT_TOL, max_level: int = 14):
+def tanh_sinh(fn, a: float, b: float, tol: float = DEFAULT_TOL):
     """Tanh-sinh quadrature of a vectorized fn over [a, b].
 
     Returns (value, error_estimate). Integrable endpoint singularities are
@@ -84,8 +85,8 @@ def tanh_sinh(fn, a: float, b: float, tol: float = DEFAULT_TOL, max_level: int =
     samples (which can only occur within rounding distance of an endpoint)
     are dropped.  The nodes and weights of each level are mapped to [a, b]
     from the cached unit data of _unit_level.  The stop rule cannot fire
-    before level 3, so levels 0 to min(3, max_level) are sampled in one
-    call of fn and every later level in one call each; each level's sum
+    before level 3, so levels 0 to 3 are sampled in one call of fn and
+    every later level, up to _MAX_LEVEL, in one call each; each level's sum
     runs over its own nodes only, so the result does not depend on the
     batching.
     """
@@ -106,7 +107,7 @@ def tanh_sinh(fn, a: float, b: float, tol: float = DEFAULT_TOL, max_level: int =
     # Each level is summed over its own slice of the kept terms: summing
     # with the dropped nodes zero-filled, or np.add.reduceat, would change
     # the last bit.
-    head = [_unit_level(level) for level in range(min(3, max_level) + 1)]
+    head = [_unit_level(level) for level in range(4)]
     keep, terms = _terms(*map(np.concatenate, zip(*head)))
     ends = np.cumsum(keep)[np.cumsum([unit[0].size for unit in head]) - 1]
     sums = [np.sum(terms[lo:hi]) for lo, hi in zip([0, *ends[:-1]], ends)]
@@ -114,9 +115,9 @@ def tanh_sinh(fn, a: float, b: float, tol: float = DEFAULT_TOL, max_level: int =
     h = 1.0
     total = prev = sums[0]
     err = np.inf
-    for level in range(1, max_level + 1):
+    for level in range(1, _MAX_LEVEL + 1):
         h *= 0.5
-        sample = sums[level] if level < len(sums) else np.sum(_terms(*_unit_level(level))[1])
+        sample = sums[level] if level <= 3 else np.sum(_terms(*_unit_level(level))[1])
         total = 0.5 * prev + sample * h
         err = abs(total - prev)
         if level >= 3 and err < tol:

@@ -69,18 +69,35 @@ class DeltaData:
 
     ``nu`` is nan+nan*i when 1 + r1 r2 vanishes at k1 = -A (there the
     endpoint behavior is algebraic with exponent driven by the winding
-    Delta(k1) instead of nu).
+    Delta(k1) instead of nu).  The methods derive delta from log_g_at.
     """
 
     A: float
     k1: float
     nu: complex
     Delta_k1: float
-    delta_at: Callable[[complex], complex]
-    log_delta_at: Callable[[complex], complex]
-    delta_boundary: Callable[[float, CutSide], complex]
     log_g_at: Callable[[np.ndarray], np.ndarray]
     zero_at_minus_A: bool
+
+    def _spec(self) -> IntegrandSpec:
+        return IntegrandSpec(eval=self.log_g_at, decay_estimate=ray_decay(self.A))
+
+    def log_delta_at(self, k: complex) -> complex:
+        return cauchy_semiinfinite(self._spec(), self.k1, complex(k)) / (2j * np.pi)
+
+    def delta_at(self, k: complex) -> complex:
+        return cmath.exp(self.log_delta_at(k))
+
+    def delta_boundary(self, x0: float, side: CutSide) -> complex:
+        """Plemelj: the boundary values on (-inf, k1) are the principal
+        value plus/minus half the local logarithm."""
+        pv = cauchy_semiinfinite_pv(self._spec(), self.k1, float(x0)) / (2j * np.pi)
+        half = 0.5 * complex(self.log_g_at(np.array([float(x0)]))[0])
+        if side is CutSide.ABOVE:
+            return cmath.exp(pv + half)
+        if side is CutSide.BELOW:
+            return cmath.exp(pv - half)
+        raise ValueError("delta_boundary requires side ABOVE or BELOW")
 
 
 def _unwound_log(sd: SpectralData, k1: float, g_at_k1: bool = False):
@@ -137,50 +154,20 @@ def delta_data(sd: SpectralData, k1: float) -> DeltaData:
     """
     A = sd.A
     k1 = _check_k1(k1, A)
-
-    zero_at_minus_A = abs(k1 + A) <= 1e-12 * A and endpoint_zero(sd)[0]
-
-    log_fn, Delta_k1, g_k1 = _unwound_log(sd, k1, g_at_k1=not zero_at_minus_A)
+    # At k1 = -A, g(k1) is the endpoint probe's: -A itself is a branch point.
+    zero_at_minus_A, probe = endpoint_zero(sd) if abs(k1 + A) <= 1e-12 * A else (False, None)
+    log_fn, Delta_k1, g_k1 = _unwound_log(sd, k1, g_at_k1=probe is None)
     if zero_at_minus_A:
         nu = complex(float("nan"), float("nan"))
     else:
+        g_k1 = probe if g_k1 is None else g_k1
         nu = -math.log(abs(g_k1)) / (2 * np.pi) - 1j * Delta_k1 / (2 * np.pi)
 
     if k1 < -A and abs(Delta_k1) >= np.pi:
         raise WindingOutOfRange(
             f"winding Delta(k1)={Delta_k1:.4f} outside (-pi, pi) at k1={k1}"
         )
-
-    spec = IntegrandSpec(eval=log_fn, decay_estimate=ray_decay(A))
-
-    def log_delta_at(k: complex) -> complex:
-        return cauchy_semiinfinite(spec, k1, complex(k)) / (2j * np.pi)
-
-    def delta_at(k: complex) -> complex:
-        return cmath.exp(log_delta_at(k))
-
-    def delta_boundary(x0: float, side: CutSide) -> complex:
-        # Plemelj: the boundary values on (-inf, k1) are the principal
-        # value plus/minus half the local logarithm.
-        pv = cauchy_semiinfinite_pv(spec, k1, float(x0)) / (2j * np.pi)
-        half = 0.5 * complex(log_fn(np.array([float(x0)]))[0])
-        if side is CutSide.ABOVE:
-            return cmath.exp(pv + half)
-        if side is CutSide.BELOW:
-            return cmath.exp(pv - half)
-        raise ValueError("delta_boundary requires side ABOVE or BELOW")
-
-    return DeltaData(
-        A=A,
-        k1=k1,
-        nu=nu,
-        Delta_k1=Delta_k1,
-        delta_at=delta_at,
-        log_delta_at=log_delta_at,
-        delta_boundary=delta_boundary,
-        log_g_at=log_fn,
-        zero_at_minus_A=zero_at_minus_A,
-    )
+    return DeltaData(A, k1, nu, Delta_k1, log_fn, zero_at_minus_A)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +199,7 @@ class _RayTable:
 
 def _table(sd: SpectralData) -> _RayTable:
     """The data's _RayTable, kept in its memo under a key that no side.value
-    of _tabulate takes."""
+    of SpectralData.at takes."""
     table = sd._memo.get("_ray_table")
     if table is None:
         table = sd._memo["_ray_table"] = _RayTable()
@@ -460,10 +447,10 @@ def transition_dA(sd: SpectralData) -> complex:
 
 @dataclass(frozen=True)
 class AsymptoticParams:
-    """Frozen ingredients of a leading-order profile evaluation."""
+    """Frozen ingredients of a leading-order profile evaluation; a profile
+    refuses those that its data's _RayTable does not hold."""
 
     region: RegionTag
-    A: float
     k1: float
     F_inf: complex
     error_exponent: float  # 1/2 - |Im nu| in modulated sectors, inf otherwise
@@ -478,7 +465,7 @@ def modulated_params(sd: SpectralData, xi: float) -> AsymptoticParams:
     dd = delta_data(sd, k1)  # enforces the winding bound
     F_inf = F_infinity(sd, k1)
     exponent = 0.5 - abs(dd.nu.imag)
-    return AsymptoticParams(region, sd.A, k1, F_inf, exponent)
+    return AsymptoticParams(region, k1, F_inf, exponent)
 
 
 def central_params(sd: SpectralData, xi: float) -> AsymptoticParams:
@@ -486,7 +473,7 @@ def central_params(sd: SpectralData, xi: float) -> AsymptoticParams:
     if region not in (RegionTag.CENTRAL_PLUS, RegionTag.CENTRAL_MINUS):
         raise RegionMismatch(f"xi={xi} (A={sd.A}) lies in {region.value}, not a central sector")
     F_inf = F_infinity(sd, -sd.A)
-    return AsymptoticParams(region, sd.A, -sd.A, F_inf, math.inf)
+    return AsymptoticParams(region, -sd.A, F_inf, math.inf)
 
 
 def transition_params(sd: SpectralData) -> AsymptoticParams:
@@ -494,7 +481,7 @@ def transition_params(sd: SpectralData) -> AsymptoticParams:
     # F_inf walk, which can be long on coarsely sampled data.
     dA = transition_dA(sd)
     F_inf = F_infinity(sd, -sd.A)
-    return AsymptoticParams(RegionTag.TRANSITION_AXIS, sd.A, -sd.A, F_inf, math.inf, dA)
+    return AsymptoticParams(RegionTag.TRANSITION_AXIS, -sd.A, F_inf, math.inf, dA)
 
 
 def _plane_wave(A: float, F_inf: complex, t: float, positive_side: bool) -> complex:
@@ -506,6 +493,13 @@ def _plane_wave(A: float, F_inf: complex, t: float, positive_side: bool) -> comp
     return -A * math.exp(2.0 * F_inf.imag) * phase
 
 
+def _check_own(sd: SpectralData, p: AsymptoticParams) -> None:
+    """RegionMismatch unless p's F_inf and d(A) are in the data's own table."""
+    table = _table(sd)
+    if table.F_inf.get(p.k1) != p.F_inf or p.dA not in (None, table.dA):
+        raise RegionMismatch("the params were not made from these spectral data")
+
+
 def _ray_wave(sd: SpectralData, xi: float, t: float, p: AsymptoticParams, family: str):
     """The plane wave of the ray xi from params p of the ray's own region,
     a sector of the family; the ray's side gives the amplitude's sign."""
@@ -513,7 +507,8 @@ def _ray_wave(sd: SpectralData, xi: float, t: float, p: AsymptoticParams, family
     if region is not p.region or not region.name.startswith(family.upper()):
         raise RegionMismatch(f"xi={xi} lies in {region.value}, the params in "
                              f"{p.region.value}: the ray is not {family} on their side")
-    return _plane_wave(p.A, p.F_inf, t, xi > 0)
+    _check_own(sd, p)
+    return _plane_wave(sd.A, p.F_inf, t, xi > 0)
 
 
 def q_modulated(
@@ -543,7 +538,8 @@ def q_transition(
     p = params if params is not None else transition_params(sd)
     if p.region is not RegionTag.TRANSITION_AXIS:
         raise RegionMismatch(f"params region {p.region} is not the transition axis")
-    A, D = p.A, (p.dA if x > 0 else -p.dA.conjugate())
+    _check_own(sd, p)
+    A, D = sd.A, (p.dA if x > 0 else -p.dA.conjugate())
     De = D * cmath.exp(-2.0 * A * abs(x))
     den = 2.0 * A + 1j * De
     if abs(den) < _STATION_GUARD:

@@ -77,20 +77,6 @@ class InitialData:
             raise ValueError("decay_width must be positive")
 
 
-def _tabulate(memo: dict, abc: Callable, ks, side: CutSide) -> list[tuple[complex, ...]]:
-    """(a1, a2, b) at each k from memo; the points it lacks are evaluated
-    in one abc call and kept there.  memo holds one dict of complex k per
-    side.value: a key holding the CutSide would run Enum.__hash__, in
-    Python, once per k."""
-    table = memo.setdefault(side.value, {})
-    keys = [complex(k) for k in ks]
-    new = list(dict.fromkeys(k for k in keys if k not in table))
-    if new:
-        vals = abc(np.array(new), side)
-        table.update(zip(new, zip(*(v.tolist() for v in vals))))
-    return [table[k] for k in keys]
-
-
 @dataclass(frozen=True)
 class SpectralData:
     """Scattering data: one vector evaluator plus derived constants.
@@ -101,7 +87,8 @@ class SpectralData:
     and ``at`` its values at a list of k; both memoise per object.
     gamma_plus() gives the norming constant of the k = 0 zero (b_+(0)
     when b is analytic), nan when the Jost route cannot resolve it; only
-    d(A) calls it.  a10 is the linear coefficient of a1_+ at k = 0.
+    d(A) calls it.  a10 is the linear coefficient of a1_+ at k = 0; None
+    fits it to a1_+ at the points _FIT_KS * A, which stay in the memo.
     one_plus_r1r2_ray(s, sp=None) is 1 + r1(s) r2(s) = 1 / (a1(s) a2(s))
     elementwise on the ray s < -A (the determinant relation
     a1 a2 + b(s) conj(b(-s)) = 1); sp, when given, is the exact s + A (see
@@ -110,16 +97,29 @@ class SpectralData:
 
     A: float
     abc: Callable[[np.ndarray, CutSide], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    a10: complex
+    a10: complex | None
     gamma_plus: Callable[[], complex]
     source: Source
     one_plus_r1r2_ray: Callable[..., np.ndarray]
 
     def __post_init__(self):
         object.__setattr__(self, "_memo", {})
+        if self.a10 is None:
+            a1 = [v[0] for v in self.at(_FIT_KS * self.A, CutSide.ABOVE)]
+            object.__setattr__(self, "a10", _fit_small_k(a1, self.A)[1])
 
     def at(self, ks, side: CutSide = CutSide.OFF) -> list[tuple[complex, ...]]:
-        return _tabulate(self._memo, self.abc, ks, side)
+        """(a1, a2, b) at each k from the memo; the points it lacks are
+        evaluated in one abc call and kept there.  The memo holds one dict
+        of complex k per side.value: a key holding the CutSide would run
+        Enum.__hash__, in Python, once per k."""
+        table = self._memo.setdefault(side.value, {})
+        keys = [complex(k) for k in ks]
+        new = list(dict.fromkeys(k for k in keys if k not in table))
+        if new:
+            vals = self.abc(np.array(new), side)
+            table.update(zip(new, zip(*(v.tolist() for v in vals))))
+        return [table[k] for k in keys]
 
     def a1(self, k: complex, side: CutSide = CutSide.OFF) -> complex:
         return self.at([k], side)[0][0]
@@ -206,14 +206,10 @@ def step_spectral(profile: StepProfile) -> SpectralData:
     # expression is even in h and tends to -cos(2AR) on the upper side,
     # while a1_+ has a simple zero only for the centered step.
     gamma = complex(-math.cos(2 * A * R))
-    if R == 0.0:
-        a10 = -1j / A
-    else:
-        _, a10, _ = _fit_small_k(abc(_FIT_KS * A, CutSide.ABOVE)[0], A)
     return SpectralData(
         A=A,
         abc=abc,
-        a10=a10,
+        a10=-1j / A if R == 0.0 else None,
         gamma_plus=lambda: gamma,
         source=Source.CLOSED_FORM_STEP,
         one_plus_r1r2_ray=lambda s, sp=None: 1.0 / _step_a1a2_vec(s, A, R, sp),
@@ -517,9 +513,9 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
     Outside [-w, w], w = decay_width, the datum is its background, so the
     Jost columns there are the background solutions E_j(k) e^{-+ixf}; the
     left ones cross [-w, w] by the Magnus transfer matrix of _Transfer,
-    and a1, a2, b are Wronskians at x = w.  The samples, the Schwarz
-    mirrors -conj(k) of those off the cut (reflection's r2 needs b
-    there) and the small-k fit points are evaluated in one batch per side
+    and a1, a2, b are Wronskians at x = w.  After a10's fit points, the
+    samples and the Schwarz mirrors -conj(k) of those off the cut
+    (reflection's r2 needs b there) are evaluated in one batch per side
     and memoised; any other k costs one more transfer product.  On the
     ray, 1 + r1 r2 = 1 / (a1 a2) comes from the same product with f and w
     formed from the exact s + A when given.
@@ -537,22 +533,19 @@ def jost_spectral(data: InitialData, A: float, k_samples) -> SpectralData:
         a1, a2, _ = tr.abc(k, *fw_array(k, A, CutSide.OFF, sp))
         return 1.0 / (a1 * a2)
 
-    k_samples = [complex(k) for k in k_samples]
-    on_cut = [k for k in k_samples if k.imag == 0.0 and abs(k.real) < A]
-    memo: dict = {}
-    off = [k for k in k_samples if k not in on_cut]
-    _tabulate(memo, abc, off + [-k.conjugate() for k in off], CutSide.OFF)
-    above = _tabulate(memo, abc, on_cut + list(_FIT_KS * A), CutSide.ABOVE)
-    _, a10, _ = _fit_small_k([v[0] for v in above[len(on_cut):]], A)
     sd = SpectralData(
         A=A,
         abc=abc,
-        a10=a10,
+        a10=None,
         gamma_plus=functools.cache(lambda: _norming_wronskian(tr, A)),
         source=Source.NUMERIC_JOST,
         one_plus_r1r2_ray=one_plus_r1r2_ray,
     )
-    sd._memo.update(memo)
+    k_samples = [complex(k) for k in k_samples]
+    on_cut = [k for k in k_samples if k.imag == 0.0 and abs(k.real) < A]
+    off = [k for k in k_samples if k not in on_cut]
+    sd.at(off + [-k.conjugate() for k in off])
+    sd.at(on_cut, CutSide.ABOVE)
     return sd
 
 

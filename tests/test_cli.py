@@ -169,7 +169,8 @@ class TestSpectralCommand:
     def test_csv_mirrors_share_the_samples_batch(self, tmp_path, monkeypatch):
         # r2 needs b(-k) at each of the 200 samples: their mirrors ride in
         # the samples' OFF batch instead of one transfer product each.  The
-        # other products: the ABOVE fit batch and check_assumptions' four.
+        # other products: the data's own ABOVE fit batch, which comes first,
+        # and check_assumptions' four.
         sizes = []
         matrix = spectral._Transfer.matrix
 
@@ -181,7 +182,7 @@ class TestSpectralCommand:
         initial = _write_tanh_csv(tmp_path / "tanh.csv", 8.0, 641)
         assert main(["spectral", "--input-csv", str(initial), "--k-grid", "1.1:10:200",
                      "--out-dir", str(tmp_path / "o")]) == 0
-        assert sizes[:2] == [400, 6]
+        assert sizes[:2] == [6, 400]
         assert len(sizes) == 6
 
     def test_blank_csv_rows_are_skipped(self, tmp_path):

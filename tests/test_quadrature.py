@@ -19,7 +19,9 @@ from nnlstep import (
     ToleranceNotMet,
     step_spectral,
 )
+from nnlstep import quadrature
 from nnlstep.quadrature import (
+    _MAX_LEVEL,
     _WINDING_SAMPLES,
     IntegrandSpec,
     _arg_increment,
@@ -85,14 +87,19 @@ class TestTanhSinh:
         warm = tanh_sinh(fn, 0.0, 2.0, tol=1e-12)
         assert repr(cold) == repr(warm)
 
-    @pytest.mark.parametrize("max_level", [0, 3, 6])
-    def test_cache_holds_the_levels_reached(self, max_level):
+    @pytest.mark.parametrize("max_level", [0, 3, 6, _MAX_LEVEL])
+    def test_cache_holds_the_levels_reached(self, max_level, monkeypatch):
+        # A call that does not converge reaches every level up to the last
+        # one (the jumps of floor keep the error near the node spacing);
+        # levels 0-3 are always sampled together.
         _unit_level.cache_clear()
-        with pytest.raises(ToleranceNotMet):
-            tanh_sinh(lambda x: np.sin(200.0 * x), 0.0, 10.0, tol=1e-14, max_level=max_level)
-        assert _unit_level.cache_info().currsize == max_level + 1
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "_MAX_LEVEL", max_level)
+            with pytest.raises(ToleranceNotMet):
+                tanh_sinh(np.floor, 0.0, 10.0, tol=1e-14)
+        assert _unit_level.cache_info().currsize == max(3, max_level) + 1
         tanh_sinh(np.sin, 0.0, np.pi, tol=1e-12)
-        assert _unit_level.cache_info().currsize <= 15
+        assert _unit_level.cache_info().currsize <= _MAX_LEVEL + 1 == 15
 
     def test_nothing_is_built_at_import(self):
         code = "import nnlstep.quadrature as q; print(q._unit_level.cache_info().currsize)"
@@ -123,7 +130,7 @@ class TestTanhSinh:
         assert abs(val - ref) < 1e-9
 
 
-def _per_level_tanh_sinh(fn, a, b, tol, max_level):
+def _per_level_tanh_sinh(fn, a, b, tol):
     """Reference rule: one call of fn per level, each level mapped and
     summed on its own."""
     half = 0.5 * (b - a)
@@ -141,7 +148,7 @@ def _per_level_tanh_sinh(fn, a, b, tol, max_level):
     h = 1.0
     total = prev = _sample(0)
     err = np.inf
-    for level in range(1, max_level + 1):
+    for level in range(1, _MAX_LEVEL + 1):
         h *= 0.5
         total = 0.5 * prev + _sample(level) * h
         err = abs(total - prev)
@@ -153,7 +160,7 @@ def _per_level_tanh_sinh(fn, a, b, tol, max_level):
     raise ToleranceNotMet("reference", best=total, error=err)
 
 
-def _outcome(rule, fn, a, b, tol, max_level):
+def _outcome(rule, fn, a, b, tol):
     """repr of (value, err), or of (best, error) when the rule gives up,
     and the number of calls of fn."""
     calls = []
@@ -163,7 +170,7 @@ def _outcome(rule, fn, a, b, tol, max_level):
         return fn(x)
 
     try:
-        got = ("ok", rule(counted, a, b, tol=tol, max_level=max_level))
+        got = ("ok", rule(counted, a, b, tol=tol))
     except ToleranceNotMet as exc:
         got = ("raised", (exc.best, exc.error))
     return repr(got), len(calls)
@@ -194,27 +201,30 @@ class TestBatchedLevels:
         a=st.floats(-50.0, 50.0),
         log_width=st.floats(-6.0, 3.0),
         tol=st.sampled_from([1e-6, 1e-10, 1e-14]),
-        max_level=st.integers(0, 14),
     )
-    def test_matches_per_level_loop(self, name, a, log_width, tol, max_level):
+    def test_matches_per_level_loop(self, name, a, log_width, tol):
         b = a + 10.0**log_width
         fn = _INTEGRANDS[name](a)
-        got, calls = _outcome(tanh_sinh, fn, a, b, tol, max_level)
-        want, ref_calls = _outcome(_per_level_tanh_sinh, fn, a, b, tol, max_level)
+        got, calls = _outcome(tanh_sinh, fn, a, b, tol)
+        want, ref_calls = _outcome(_per_level_tanh_sinh, fn, a, b, tol)
         assert got == want
         # Stopping at level L >= 3 is one call for levels 0-3 plus L - 3.
         assert calls == max(1, ref_calls - 3)
 
-    @pytest.mark.parametrize("max_level, calls", [(0, 1), (1, 1), (2, 1), (3, 1), (5, 3)])
-    def test_calls_without_convergence(self, max_level, calls):
+    @pytest.mark.parametrize(
+        "max_level, calls", [(0, 1), (1, 1), (2, 1), (3, 1), (5, 3), (_MAX_LEVEL, 12)]
+    )
+    def test_calls_without_convergence(self, max_level, calls, monkeypatch):
+        # One call for levels 0-3 and one for each later level.
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", max_level)
         seen = []
 
         def fn(x):
             seen.append(x.size)
-            return np.sin(200.0 * x)
+            return np.floor(x)
 
         with pytest.raises(ToleranceNotMet):
-            tanh_sinh(fn, 0.0, 10.0, tol=1e-14, max_level=max_level)
+            tanh_sinh(fn, 0.0, 10.0, tol=1e-14)
         assert len(seen) == calls
 
 

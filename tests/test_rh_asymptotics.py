@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nnlstep import (
-    AsymptoticParams,
     CutSide,
     F_at,
     F_infinity,
@@ -23,7 +22,6 @@ from nnlstep import (
     InitialData,
     MissingNormingConstant,
     RegionMismatch,
-    RegionTag,
     SingularStation,
     SolitonPole,
     Source,
@@ -55,7 +53,7 @@ from nnlstep.quadrature import (
     semiinfinite_integral,
     tanh_sinh,
 )
-from nnlstep.spectral import ray_decay
+from nnlstep.spectral import endpoint_zero, ray_decay
 
 
 def _g_centered_step(s):
@@ -133,6 +131,18 @@ class TestDelta:
         assert abs(split - dd.log_delta_at(k)) < 1e-6
         # The ln(k1 - k) coefficient is exactly i nu.
         assert abs(lng_k1 / (2j * np.pi) - 1j * dd.nu) < 1e-9
+
+    def test_no_endpoint_zero_on_sampled_data(self):
+        # A sampled soliton: 1 + r1 r2 does not vanish at -A, a branch point
+        # where the Jost route cannot evaluate it; g(-A) is the endpoint
+        # probe's, and delta = 1 as 1 + r1 r2 = 1 to rounding.
+        sd = jost_spectral(InitialData(lambda x: q_soliton(1.0, 0.4, x, 0.0), 12.0), 1.0, [])
+        zero, probe = endpoint_zero(sd)
+        assert not zero and abs(probe - 1.0) < 1e-11
+        dd = delta_data(sd, -1.0)
+        assert not dd.zero_at_minus_A and abs(dd.nu) < 1e-10
+        assert dd.nu == -math.log(abs(probe)) / (2 * math.pi) - 1j * dd.Delta_k1 / (2 * math.pi)
+        assert abs(dd.delta_at(0.0) - 1.0) < 1e-12
 
     def test_k1_above_minus_A_rejected(self, step_sd):
         with pytest.raises(ValueError):
@@ -405,16 +415,44 @@ class TestProfiles:
             q_transition(step_sd, x, 5.0)
 
     @pytest.mark.parametrize("x0", [0.5, -0.5])
-    def test_singular_station_guard(self, step_sd, x0):
+    def test_singular_station_guard(self, x0):
         # d(A) = 2i e^(2A|x0|) zeroes 2A + i D e^(-2A|x0|) on either side:
-        # D = d(A) for x0 > 0 and -conj d(A) = d(A) for x0 < 0.
-        crafted = AsymptoticParams(
-            region=RegionTag.TRANSITION_AXIS, A=1.0, k1=-1.0,
-            F_inf=0.0 + 0.0j, error_exponent=math.inf,
-            dA=2j * math.exp(2.0 * abs(x0)),
-        )
+        # D = d(A) for x0 > 0 and -conj d(A) = d(A) for x0 < 0.  A profile
+        # takes only params of its own data, so the crafted d(A) goes into
+        # the table of fresh data.
+        sd = step_spectral(StepProfile(A=1.0, R=0.0))
+        rh._table(sd).dA = 2j * math.exp(2.0 * abs(x0))
         with pytest.raises(SingularStation):
-            q_transition(step_sd, x0, 5.0, params=crafted)
+            q_transition(sd, x0, 5.0)
+
+    def test_profiles_refuse_params_of_other_data(self, step_sd):
+        # step_sd's params on other data gave |q| = 1.0, 1.0, 1.0 and 0.462
+        # without an error, where the data's own params give the last column.
+        offset = step_spectral(StepProfile(A=1.0, R=0.7))
+        wide = step_spectral(StepProfile(A=2.0, R=0.0))
+        cases = [
+            (q_central, 0.2, central_params(step_sd, 0.2), offset, 1.5529),
+            (q_modulated, 1.5, modulated_params(step_sd, 1.5), offset, 0.9928),
+            (q_modulated, 1.5, modulated_params(step_sd, 1.5), wide, 2.0),
+            (q_transition, 0.5, transition_params(step_sd), wide, 1.5232),
+        ]
+        for profile, where, borrowed, sd, own in cases:
+            with pytest.raises(RegionMismatch, match="not made from these spectral data"):
+                profile(sd, where, 10.0, params=borrowed)
+            assert abs(profile(sd, where, 10.0)) == pytest.approx(own, abs=1e-4)
+
+    @pytest.mark.parametrize("R", [0.0, 0.7])
+    def test_own_params_are_the_profile_without_params(self, R):
+        sd = step_spectral(StepProfile(A=1.0, R=R))
+        for xi in (0.75, -1.5):
+            p = modulated_params(sd, xi)
+            assert q_modulated(sd, xi, 9.0, params=p) == q_modulated(sd, xi, 9.0)
+        for xi in (0.2, -0.3):
+            p = central_params(sd, xi)
+            assert q_central(sd, xi, 9.0, params=p) == q_central(sd, xi, 9.0)
+        p = transition_params(sd)
+        for x in (0.5, -2.0):
+            assert q_transition(sd, x, 9.0, params=p) == q_transition(sd, x, 9.0)
 
     def test_far_station_is_the_central_wave(self, step_sd):
         # e^(-2A|x|) underflows to 0 at |x| = 400, leaving the central plane

@@ -509,7 +509,30 @@ class TestJostRoute:
         nd = jost_spectral(InitialData(prof.sample, decay_width=1.0), 1.0, ks)
         for k in ks:
             reflection(nd, k)
-        assert sizes == [len(ks), len(_FIT_KS)]
+        assert sizes == [len(_FIT_KS), len(ks)]
+
+    @pytest.mark.parametrize("source", ["step", "jost"])
+    def test_fit_points_are_evaluated_once(self, monkeypatch, source):
+        # The data fit a10 to their own memo, from which check_assumptions
+        # then reads the same six points; 0.01 is a fit point and a sample.
+        seen = []
+        fw_array = spectral.fw_array
+
+        def recording(k, A, side, sp=None):
+            if side is CutSide.ABOVE:
+                seen.extend(np.asarray(k).tolist())
+            return fw_array(k, A, side, sp)
+
+        monkeypatch.setattr(spectral, "fw_array", recording)
+        prof = StepProfile(A=1.0, R=0.7)
+        if source == "step":
+            sd = step_spectral(prof)
+        else:
+            sd = jost_spectral(InitialData(prof.sample, decay_width=1.5), 1.0, [0.01, 0.3])
+        check_assumptions(sd)
+        assert [seen.count(k) for k in _FIT_KS] == [1] * len(_FIT_KS)
+        a1 = [v[0] for v in sd.at(_FIT_KS, CutSide.ABOVE)]
+        assert sd.a10 == spectral._fit_small_k(a1, 1.0)[1]
 
 
 def _oracle_sample(sampler, x):
